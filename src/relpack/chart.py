@@ -70,20 +70,11 @@ class DomainSpec:
         """True on the product of `in_box` and `in_simplex` (the chart's K')."""
         return self.in_box(coords) & self.in_simplex(coords)
 
-    def in_ambient(self, coords):
-        """True where only the box constraint holds (actions unconstrained)."""
-        return self.in_box(coords)
-
     def on_torus_level(self, coords, tol=0.0):
         """True where every action equals ``1/(n+1)`` within ``tol``."""
         _, P = self._split(coords)
         c = 1.0 / (self.n + 1)
         return np.all(np.abs(P - c) <= tol, axis=-1)
-
-    def in_real_slice(self, ball_coords, r):
-        """True for ball points with all momenta zero, inside radius ``r``."""
-        q, p = self._split(ball_coords)
-        return np.all(p == 0.0, axis=-1) & (np.sum(q**2, axis=-1) < r**2)
 
 
 def moment_map(z):
@@ -115,11 +106,9 @@ def chart_j(coords):
     if coords.shape[-1] != 2 * n or n == 0:
         raise ValueError(f"expected even trailing dimension, got {coords.shape}")
     spec = DomainSpec(n)
-    ok = spec.in_chart_domain(coords)
-    if not np.all(ok):
+    if not np.all(spec.in_chart_domain(coords)):
         raise NotInDomain("point outside the open chart domain (box x simplex)")
-    Q = coords[..., 0::2]
-    P = coords[..., 1::2]
+    Q, P = spec._split(coords)
     return np.sqrt(P) * np.exp(2j * Q)
 
 

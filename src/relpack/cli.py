@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="uniform-pool size (default 100000)")
     sp.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
     sp.add_argument("--out", default=None, help="write the JSON report here")
-    sp.add_argument("--format", choices=["json"], default="json")
     sp.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                     help="override a check tolerance (repeatable)")
 
@@ -67,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points-per-curve", type=int, default=512,
                     help="polyline resolution per curve (default 512)")
     sp.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    sp.add_argument("--format", choices=["csv"], default="csv")
 
     sp = sub.add_parser("embed", help="evaluate the embedding at one point")
     add_params(sp)
@@ -172,6 +170,10 @@ def _cmd_embed(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--point" in argv[:-1]:  # else argparse reads "-0.3,..." as a flag
+        i = argv.index("--point")
+        argv[i : i + 2] = ["--point=" + argv[i + 1]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,7 +17,11 @@ without leaving the band.
 
 Everything downstream (the area-preserving disc map, its Jacobian, and the
 area oracle) consumes this module through a per-parameter engine holding the
-fitted schedule and Chebyshev quadrature nodes.
+fitted schedule and Chebyshev quadrature nodes.  The engine writes each
+quantity once, as a jet whose ``order`` argument selects how many
+``A``-derivatives to append: ``schedule`` for ``(h, a, m)``, ``radius_sq``
+for the squared polar radius, and ``build_sweep`` for the area-sweep series,
+so the map, its inverse and its Jacobian evaluate the same formulas.
 """
 
 from __future__ import annotations
@@ -57,31 +61,60 @@ def area_factor(m):
     return np.exp(2.0 * gammaln(1.0 + 1.0 / m) - gammaln(1.0 + 2.0 / m))
 
 
-def _dlog_area_factor(m):
-    m = np.asarray(m, dtype=float)
-    return (2.0 / m**2) * (digamma(1.0 + 2.0 / m) - digamma(1.0 + 1.0 / m))
-
-
-def _d2log_area_factor(m):
-    m = np.asarray(m, dtype=float)
+def _dlog_area_factor(m, order=1):
+    """First, and at ``order=2`` second, m-derivative of ``log area_factor``."""
     p1, p2 = 1.0 + 1.0 / m, 1.0 + 2.0 / m
-    return (
-        -(4.0 / m**3) * (digamma(p2) - digamma(p1))
-        - (2.0 / m**4) * (2.0 * polygamma(1, p2) - polygamma(1, p1))
-    )
+    dpsi = digamma(p2) - digamma(p1)
+    if order == 1:
+        return ((2.0 / m**2) * dpsi,)
+    dtri = 2.0 * polygamma(1, p2) - polygamma(1, p1)
+    return (2.0 / m**2) * dpsi, -(4.0 / m**3) * dpsi - (2.0 / m**4) * dtri
 
 
-def _smoothstep(x):
-    """C^3 monotone step on [0, 1] (septic polynomial, flat at both ends)."""
-    return x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3)
+def _smoothstep(x, order=0):
+    """C^3 monotone step on [0, 1] (septic polynomial, flat at both ends).
+
+    Returns the value, then the first and second derivatives up to ``order``.
+    """
+    out = (x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3),)
+    if order >= 1:
+        out += (140.0 * x**3 * (1.0 - x) ** 3,)
+    if order == 2:
+        out += (420.0 * x**2 * (1.0 - x) ** 2 * (1.0 - 2.0 * x),)
+    return out
 
 
-def _smoothstep_d1(x):
-    return 140.0 * x**3 * (1.0 - x) ** 3
+def _height(A, eps, order=0):
+    """Smooth minimum ``h`` of the round radius ``sqrt(A/pi)`` and the band cap.
+
+    Returns ``(h,)``, then ``d(log h)/dA`` and ``d2(log h)/dA2`` up to ``order``.
+    """
+    k = _BLEND_K
+    cap = A / (2.0 * np.pi) + eps / 2.0
+    lr, lc = np.log(np.sqrt(A / np.pi)), np.log(cap)
+    h = np.exp(-np.logaddexp(-k * lr, -k * lc) / k)
+    if order == 0:
+        return (h,)
+    w = 1.0 / (1.0 + np.exp(k * (lr - lc)))
+    lrp = 0.5 / A
+    lcp = (0.5 / np.pi) / cap
+    lnhp = w * lrp + (1.0 - w) * lcp
+    if order == 1:
+        return h, lnhp
+    wp = -k * w * (1.0 - w) * (lrp - lcp)
+    lnhpp = w * (-0.5 / A**2) + (1.0 - w) * (-lcp * lcp) + wp * (lrp - lcp)
+    return h, lnhp, lnhpp
 
 
-def _smoothstep_d2(x):
-    return 420.0 * x**2 * (1.0 - x) ** 2 * (1.0 - 2.0 * x)
+def _mprod(wgt, val):
+    """``wgt * val`` with ``val`` possibly infinite where ``wgt`` vanishes."""
+    return np.where(wgt == 0.0, 0.0, wgt * np.where(np.isfinite(val), val, 0.0))
+
+
+def _check_areas(A, area_max):
+    """Raise ValueError unless every ``A`` lies in ``(0, area_max)``; NaN fails."""
+    if not np.all((A > 0.0) & (A < area_max)):
+        raise ValueError(f"area must lie in (0, {area_max!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +193,8 @@ class _CurveEngine:
 
     Holds everything that depends only on ``(n, r, epsilon)``: the endpoint
     exponent fit, the Chebyshev node count, and the node abscissae.  All
-    methods are vectorized over 1-d arrays of areas.
+    methods are vectorized over arrays of areas.  A higher ``order`` only
+    appends derivative terms, so leading outputs agree bitwise across orders.
     """
 
     def __init__(self, params: PackingParams):
@@ -171,7 +205,7 @@ class _CurveEngine:
         # vertical walls by at least this much
         self.delta_q = min(0.05, np.pi * self.eps / 2.0)
 
-        h_end = self._height(np.asarray(self.area_max))
+        (h_end,) = _height(np.asarray(self.area_max), self.eps)
         a_target = np.pi / 2.0 - 1.1 * self.delta_q
         g_end = self.area_max / (4.0 * h_end * a_target)
         if g_end <= area_factor(2.0):
@@ -186,17 +220,11 @@ class _CurveEngine:
                 lambda m: area_factor(m) - g_end, 2.0, _M_MAX, xtol=1e-12
             )
         lam_end = self.area_max / (self.area_max + np.pi * self.eps)
-        self.m_scale = 2.0 + (self.m_end - 2.0) / _smoothstep(lam_end)
+        self.m_scale = 2.0 + (self.m_end - 2.0) / _smoothstep(lam_end)[0]
         self.ncheb = int(max(192, 2.5 * self.m_end + 48))
         j = np.arange(self.ncheb + 1)
         self.xnodes = np.cos(np.pi * j / self.ncheb)  # 1 .. -1
         self._validate()
-
-    def _height(self, A):
-        rho = 0.5 * (np.log(A) - np.log(np.pi))
-        cap = np.log(A / (2.0 * np.pi) + self.eps / 2.0)
-        k = _BLEND_K
-        return np.exp(-np.logaddexp(-k * rho, -k * cap) / k)
 
     def _validate(self):
         """Check monotonicity and band containment on a dense area grid."""
@@ -206,7 +234,7 @@ class _CurveEngine:
                 np.linspace(0.9 * self.area_max, self.area_max, 100),
             ]
         )
-        h, a, m, hp, ap, mp = self.schedule_rates(A)
+        h, a, m, hp, ap, mp = self.schedule(A, 1)
         cap = A / (2.0 * np.pi) + self.eps / 2.0
         problems = []
         if not np.all(ap > 0.0):
@@ -218,7 +246,7 @@ class _CurveEngine:
         if not a.max() < np.pi / 2.0 - self.delta_q:
             problems.append("half-width reaches the wall margin")
         alpha = np.linspace(0.0, np.pi / 2.0, 101)
-        VA = self.radius_sq_growth(A[:, None], alpha[None, :])
+        _, VA = self.radius_sq(A[:, None], alpha[None, :], 1)
         if not VA.min() > 0.0:
             problems.append("level curves not strictly nested")
         if problems:
@@ -226,161 +254,84 @@ class _CurveEngine:
 
     # -- schedule -----------------------------------------------------------
 
-    def schedule(self, A):
-        """Half-height, half-width, exponent at each area."""
-        A = np.asarray(A, dtype=float)
-        rho = np.sqrt(A / np.pi)
-        cap = A / (2.0 * np.pi) + self.eps / 2.0
-        k = _BLEND_K
-        lr, lc = np.log(rho), np.log(cap)
-        h = np.exp(-np.logaddexp(-k * lr, -k * lc) / k)
-        lam = A / (A + np.pi * self.eps)
-        m = 2.0 + (self.m_scale - 2.0) * _smoothstep(lam)
-        a = A / (4.0 * h * area_factor(m))
-        return h, a, m
+    def schedule(self, A, order=0):
+        """Half-height, half-width, exponent at each area, with A-derivatives.
 
-    def schedule_rates(self, A):
-        """Schedule values plus first derivatives in ``A``."""
+        Returns ``(h, a, m)``; ``order >= 1`` appends ``(h_A, a_A, m_A)``
+        and ``order == 2`` appends ``(h_AA, a_AA, m_AA)``.
+        """
         A = np.asarray(A, dtype=float)
-        rho = np.sqrt(A / np.pi)
-        cap = A / (2.0 * np.pi) + self.eps / 2.0
-        k = _BLEND_K
-        lr, lc = np.log(rho), np.log(cap)
-        h = np.exp(-np.logaddexp(-k * lr, -k * lc) / k)
-        w = 1.0 / (1.0 + np.exp(k * (lr - lc)))
-        lam = A / (A + np.pi * self.eps)
-        m = 2.0 + (self.m_scale - 2.0) * _smoothstep(lam)
-        g = area_factor(m)
-        a = A / (4.0 * h * g)
-        lnhp = w * (0.5 / A) + (1.0 - w) * (0.5 / np.pi) / cap
-        hp = h * lnhp
-        lamp = np.pi * self.eps / (A + np.pi * self.eps) ** 2
-        mp = (self.m_scale - 2.0) * _smoothstep_d1(lam) * lamp
-        ap = a * (1.0 / A - lnhp - _dlog_area_factor(m) * mp)
-        return h, a, m, hp, ap, mp
-
-    def schedule_jet(self, A):
-        """Schedule values with first and second ``A``-derivatives."""
-        A = np.asarray(A, dtype=float)
-        k = _BLEND_K
-        rho = np.sqrt(A / np.pi)
-        cap = A / (2.0 * np.pi) + self.eps / 2.0
-        lr, lc = np.log(rho), np.log(cap)
-        h = np.exp(-np.logaddexp(-k * lr, -k * lc) / k)
-        w = 1.0 / (1.0 + np.exp(k * (lr - lc)))
-        lrp = 0.5 / A
-        lrpp = -0.5 / A**2
-        lcp = (0.5 / np.pi) / cap
-        lcpp = -lcp * lcp
-        wp = -k * w * (1.0 - w) * (lrp - lcp)
-        lnhp = w * lrp + (1.0 - w) * lcp
-        lnhpp = w * lrpp + (1.0 - w) * lcpp + wp * (lrp - lcp)
-        hp = h * lnhp
-        hpp = h * (lnhpp + lnhp**2)
+        height = _height(A, self.eps, order)
+        h = height[0]
         B = np.pi * self.eps
         lam = A / (A + B)
-        lamp = B / (A + B) ** 2
-        lampp = -2.0 * B / (A + B) ** 3
-        m = 2.0 + (self.m_scale - 2.0) * _smoothstep(lam)
-        mp = (self.m_scale - 2.0) * _smoothstep_d1(lam) * lamp
-        mpp = (self.m_scale - 2.0) * (
-            _smoothstep_d2(lam) * lamp**2 + _smoothstep_d1(lam) * lampp
-        )
-        g1 = _dlog_area_factor(m)
-        g2 = _d2log_area_factor(m)
+        step = _smoothstep(lam, order)
+        m = 2.0 + (self.m_scale - 2.0) * step[0]
         a = A / (4.0 * h * area_factor(m))
-        lnap = 1.0 / A - lnhp - g1 * mp
-        lnapp = -1.0 / A**2 - lnhpp - (g2 * mp**2 + g1 * mpp)
-        ap = a * lnap
-        app = a * (lnapp + lnap**2)
-        return h, hp, hpp, a, ap, app, m, mp, mpp
+        if order == 0:
+            return h, a, m
+        lnhp = height[1]
+        lamp = B / (A + B) ** 2
+        mp = (self.m_scale - 2.0) * step[1] * lamp
+        g = _dlog_area_factor(m, order)
+        lnap = 1.0 / A - lnhp - g[0] * mp
+        first = (h * lnhp, a * lnap, mp)
+        if order == 1:
+            return (h, a, m) + first
+        lnhpp = height[2]
+        lampp = -2.0 * B / (A + B) ** 3
+        mpp = (self.m_scale - 2.0) * (step[2] * lamp**2 + step[1] * lampp)
+        lnapp = -1.0 / A**2 - lnhpp - (g[1] * mp**2 + g[0] * mpp)
+        second = (h * (lnhpp + lnhp**2), a * (lnapp + lnap**2), mpp)
+        return (h, a, m) + first + second
 
     # -- curve geometry -----------------------------------------------------
 
-    def radius_sq(self, A, alpha):
-        """Squared distance from the center at quarter angle ``alpha``.
+    def radius_sq(self, A, alpha, order=0):
+        """Squared distance ``V`` from the center at quarter angle ``alpha``.
 
         ``alpha`` is measured in the first quadrant of centered coordinates;
-        the full curve follows by reflecting in both axes.
+        the full curve follows by reflecting in both axes.  Returns ``V`` at
+        ``order=0``, ``(V, V_A)`` at ``order=1`` (``V_A > 0`` iff the curves
+        are nested) and ``(V, V_A, V_AA, V_alpha)`` at ``order=2``.
         """
-        h, a, m = self.schedule(A)
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        with np.errstate(divide="ignore"):
-            l1 = m * (np.log(ca) - np.log(a))
-            l2 = m * (np.log(sa) - np.log(h))
-        lnT = np.logaddexp(l1, l2)
-        return np.exp(-(2.0 / m) * lnT)
-
-    def radius_sq_growth(self, A, alpha):
-        """d(radius_sq)/dA at fixed angle; positive iff curves are nested."""
-        h, a, m, hp, ap, mp = self.schedule_rates(A)
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        with np.errstate(divide="ignore"):
-            l1 = m * (np.log(ca) - np.log(a))
-            l2 = m * (np.log(sa) - np.log(h))
-        lnT = np.logaddexp(l1, l2)
-        V = np.exp(-(2.0 / m) * lnT)
-        e1 = np.exp(l1 - lnT)
-        e2 = np.exp(l2 - lnT)
-        dV_da = (2.0 / a) * e1 * V
-        dV_dh = (2.0 / h) * e2 * V
-        # e_i * l_i with the 0 * (-inf) corner cleaned up
-        s1 = np.where(np.isneginf(l1), 0.0, e1 * np.where(np.isfinite(l1), l1, 0.0))
-        s2 = np.where(np.isneginf(l2), 0.0, e2 * np.where(np.isfinite(l2), l2, 0.0))
-        dV_dm = V * (2.0 / m**2) * (lnT - (s1 + s2))
-        return dV_da * ap + dV_dh * hp + dV_dm * mp
-
-    def radius_sq_jet(self, A, alpha):
-        """Radius-squared with A- and angle-derivatives: (V, V_A, V_AA, V_alpha)."""
-        h, hp, hpp, a, ap, app, m, mp, mpp = self.schedule_jet(A)
+        sched = self.schedule(A, order)
+        h, a, m = sched[:3]
         with np.errstate(divide="ignore"):
             lnca, lnsa = np.log(np.cos(alpha)), np.log(np.sin(alpha))
         el1 = lnca - np.log(a)
         el2 = lnsa - np.log(h)
         l1, l2 = m * el1, m * el2
-        lnT = np.logaddexp(l1, l2)
-        V = np.exp(-(2.0 / m) * lnT)
-        w1 = np.exp(l1 - lnT)
-        w2 = np.exp(l2 - lnT)
-        w12 = w1 * w2
-
-        def mprod(wgt, val):
-            # wgt * val with val possibly infinite where wgt vanishes
-            return np.where(wgt == 0.0, 0.0, wgt * np.where(np.isfinite(val), val, 0.0))
-
-        L = lnT
-        L_a = -(m / a) * w1
-        L_h = -(m / h) * w2
-        L_m = mprod(w1, el1) + mprod(w2, el2)
-        dl = el1 - el2
-        L_aa = (m / a**2) * w1 + (m**2 / a**2) * w12
-        L_hh = (m / h**2) * w2 + (m**2 / h**2) * w12
-        L_ah = -(m**2 / (a * h)) * w12
-        L_am = -(1.0 / a) * w1 - (m / a) * mprod(w12, dl)
-        L_hm = -(1.0 / h) * w2 + (m / h) * mprod(w12, dl)
-        L_mm = mprod(w12, np.where(np.isfinite(dl), dl, 0.0) ** 2)
-        Ld = L_a * ap + L_h * hp + L_m * mp
-        Ldd = (
-            L_aa * ap**2
-            + L_hh * hp**2
-            + L_mm * mp**2
-            + 2.0 * (L_ah * ap * hp + L_am * ap * mp + L_hm * hp * mp)
-            + L_a * app
-            + L_h * hpp
-            + L_m * mpp
-        )
+        L = np.logaddexp(l1, l2)
+        V = np.exp(-(2.0 / m) * L)
+        if order == 0:
+            return V
+        # V = exp(-(2/m) * L) with L = log(exp(l1) + exp(l2)); along A,
+        # L' = sum w_i l_i' and L'' = sum w_i l_i'' + w1 w2 (l1' - l2')**2
+        hp, ap, mp = sched[3:6]
+        w1 = np.exp(l1 - L)
+        w2 = np.exp(l2 - L)
+        l1d = mp * el1 - m * (ap / a)
+        l2d = mp * el2 - m * (hp / h)
+        Ld = _mprod(w1, l1d) + _mprod(w2, l2d)
         N_A = (2.0 / m**2) * mp * L - (2.0 / m) * Ld
+        V_A = V * N_A
+        if order == 1:
+            return V, V_A
+        hpp, app, mpp = sched[6:]
+        l1dd = mpp * el1 - 2.0 * mp * (ap / a) - m * (app / a - (ap / a) ** 2)
+        l2dd = mpp * el2 - 2.0 * mp * (hp / h) - m * (hpp / h - (hp / h) ** 2)
+        Ldd = _mprod(w1, l1dd) + _mprod(w2, l2dd) + _mprod(w1 * w2, (l1d - l2d) ** 2)
         N_AA = (
             (-4.0 / m**3) * mp**2 * L
             + (2.0 / m**2) * mpp * L
             + (4.0 / m**2) * mp * Ld
             - (2.0 / m) * Ldd
         )
-        V_A = V * N_A
         V_AA = V * (N_A**2 + N_AA)
         # angle derivative, assembled in log space to survive the axes
-        w2cot = np.exp((m - 1.0) * lnsa - m * np.log(h) + lnca - lnT)
-        w1tan = np.exp((m - 1.0) * lnca - m * np.log(a) + lnsa - lnT)
+        w2cot = np.exp((m - 1.0) * lnsa - m * np.log(h) + lnca - L)
+        w1tan = np.exp((m - 1.0) * lnca - m * np.log(a) + lnsa - L)
         V_al = V * (-2.0) * (w2cot - w1tan)
         return V, V_A, V_AA, V_al
 
@@ -414,7 +365,7 @@ class _CurveEngine:
 
     # -- area sweep ----------------------------------------------------------
 
-    def build_sweep(self, A):
+    def build_sweep(self, A, order=0):
         """Antiderivative of the angular area-sweep density for each A.
 
         Returns ``(b, total, wp)``: Chebyshev coefficients of
@@ -422,36 +373,23 @@ class _CurveEngine:
         and the warp parameters.  Since the enclosed area equals twice the
         integral of radius_sq over a quarter period, ``total`` is exactly
         1/2; the computed value is kept as the normalizer so that quadrature
-        error cancels from the sweep fraction.
+        error cancels from the sweep fraction.  ``order=1`` appends
+        ``(bA, totalA)``, the same integral of ``d2V/dA2`` over the same
+        warped contour (needed by the closed-form Jacobian).
         """
         A = np.asarray(A, dtype=float)
         wp = self.warp_params(A)
         s = self.xnodes[None, :]
         wp_col = tuple(x[:, None] for x in wp)
         al = np.clip(self.warp_alpha(s, wp_col), 0.0, np.pi / 2.0)
-        F = self.radius_sq_growth(A[:, None], al) * self.warp_dalpha(s, wp_col)
-        b = cheb_antideriv(cheb_coeffs(F))
-        total = clenshaw(b, np.ones_like(A))
-        return b, total, wp
-
-    def build_sweep_pair(self, A):
-        """Sweep antiderivative plus its A-derivative series, in one pass.
-
-        Returns ``(b, total, bA, totalA, wp)`` where ``bA`` integrates the
-        second A-derivative of radius_sq over the same warped contour (needed
-        by the closed-form Jacobian).
-        """
-        A = np.asarray(A, dtype=float)
-        wp = self.warp_params(A)
-        s = self.xnodes[None, :]
-        wp_col = tuple(x[:, None] for x in wp)
-        al = np.clip(self.warp_alpha(s, wp_col), 0.0, np.pi / 2.0)
-        _, V_A, V_AA, _ = self.radius_sq_jet(A[:, None], al)
+        jet = self.radius_sq(A[:, None], al, order + 1)
         dal = self.warp_dalpha(s, wp_col)
-        b = cheb_antideriv(cheb_coeffs(V_A * dal))
-        bA = cheb_antideriv(cheb_coeffs(V_AA * dal))
         one = np.ones_like(A)
-        return b, clenshaw(b, one), bA, clenshaw(bA, one), wp
+        b = cheb_antideriv(cheb_coeffs(jet[1] * dal))
+        if order == 0:
+            return b, clenshaw(b, one), wp
+        bA = cheb_antideriv(cheb_coeffs(jet[2] * dal))
+        return b, clenshaw(b, one), wp, bA, clenshaw(bA, one)
 
     def solve_angle(self, b, total, wp, tau4):
         """Invert the quarter sweep: find alpha with Phi(alpha)/total = tau4.
@@ -543,8 +481,7 @@ def shape_schedule(A, params: PackingParams):
     """
     eng = _engine(params)
     A_arr = np.asarray(A, dtype=float)
-    if np.any(A_arr <= 0.0) or np.any(A_arr >= params.area_max):
-        raise ValueError(f"area must lie in (0, {params.area_max!r})")
+    _check_areas(A_arr, params.area_max)
     h, a, m = eng.schedule(A_arr)
     if np.isscalar(A) or np.ndim(A) == 0:
         return float(h), float(a), float(m)

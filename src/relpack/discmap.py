@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import _engine, clenshaw
+from .curves import _check_areas, _engine, clenshaw
 from .errors import NotInImage, QuadratureNonConvergent
 from .params import PackingParams
 
@@ -52,9 +52,9 @@ def _restore(arr, shape):
 def _fold_angle(t):
     """Quarter-fold of the normalized angle ``t`` in [0, 1).
 
-    Returns the quadrant index ``k``, the in-quadrant sweep fraction
-    ``tau4`` in [0, 1], its orientation ``s4 = d(tau4)/d(4t)``, and the
-    coordinate signs ``(sq, sp)`` of the quadrant.
+    Returns the in-quadrant sweep fraction ``tau4`` in [0, 1], its
+    orientation ``s4 = d(tau4)/d(4t)``, and the coordinate signs
+    ``(sq, sp)`` of the quadrant.
     """
     k = np.minimum((4.0 * t).astype(int), 3)
     branches = [k == 0, k == 1, k == 2, k == 3]
@@ -62,12 +62,12 @@ def _fold_angle(t):
     s4 = np.select(branches, [1.0, -1.0, 1.0, -1.0])
     sq = np.select(branches, [1.0, -1.0, -1.0, 1.0])
     sp = np.select(branches, [1.0, 1.0, -1.0, -1.0])
-    return k, tau4, s4, sq, sp
+    return tau4, s4, sq, sp
 
 
-def _curve_eval(eng, A, t):
-    """Point of the level curve at area ``A`` and sweep fraction ``t``."""
-    _, tau4, _, sq, sp = _fold_angle(t)
+def _curve_eval(eng, A, fold):
+    """Point of the level curve at area ``A`` and folded sweep fraction."""
+    tau4, _, sq, sp = fold
     b, total, wp = eng.build_sweep(A)
     alpha, _ = eng.solve_angle(b, total, wp, tau4)
     R = np.sqrt(eng.radius_sq(A, alpha))
@@ -77,12 +77,28 @@ def _curve_eval(eng, A, t):
 
 
 def _check_in_ball(u, r, what="q**2 + p**2"):
-    limit = r**2 - _BALL_EDGE_TOL
-    if np.any(u > limit):
+    # written so that NaN fails the test
+    if not np.all(u <= r**2 - _BALL_EDGE_TOL):
         raise ValueError(
-            f"point outside the open ball: {what} must stay below "
-            f"r**2 = {r**2!r} by more than {_BALL_EDGE_TOL:g}"
+            f"point outside the open ball: {what} must be finite and stay "
+            f"below r**2 = {r**2!r} by more than {_BALL_EDGE_TOL:g}"
         )
+
+
+def _polar(q, p, params):
+    """Polar preamble of `sigma` and `sigma_jacobian`; rejects non-finite points.
+
+    Returns flat ``q, p``, the input shape, ``u``, the folded polar angle,
+    the off-center mask, and the area ``pi*u`` with a stand-in at the center.
+    """
+    (qf, pf), shape = _flatten(q, p)
+    u = qf * qf + pf * pf
+    _check_in_ball(u, params.r)
+    t = np.arctan2(pf, qf) / (2.0 * np.pi)
+    t = np.where(t < 0.0, t + 1.0, t)
+    interior = u > 0.0
+    A_safe = np.where(interior, np.pi * u, params.area_max * 1e-8)
+    return qf, pf, shape, u, _fold_angle(t), interior, A_safe
 
 
 def sigma(q, p, params: PackingParams):
@@ -105,16 +121,9 @@ def sigma(q, p, params: PackingParams):
     The center maps to the curve family's center ``(pi/2, c)``.  Points on
     the diameter ``p = 0`` return ``P == c`` exactly.
     """
-    (qf, pf), shape = _flatten(q, p)
-    u = qf * qf + pf * pf
-    _check_in_ball(u, params.r)
+    _, _, shape, _, fold, interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
-    A = np.pi * u
-    t = np.arctan2(pf, qf) / (2.0 * np.pi)
-    t = np.where(t < 0.0, t + 1.0, t)
-    interior = u > 0.0
-    A_safe = np.where(interior, A, params.area_max * 1e-8)
-    Q, P = _curve_eval(eng, A_safe, t)
+    Q, P = _curve_eval(eng, A_safe, fold)
     Q = np.where(interior, Q, np.pi / 2.0)
     P = np.where(interior, P, eng.c)
     return _restore(Q, shape), _restore(P, shape)
@@ -128,12 +137,12 @@ def level_curve_point(A, phi_frac, params: PackingParams):
     counterclockwise proportionally to enclosed-area sweep, matching the
     angular parametrization used by `sigma`.
     """
-    A_arr = np.asarray(A, dtype=float)
-    if np.any(A_arr <= 0.0) or np.any(A_arr >= params.area_max):
-        raise ValueError(f"area must lie in (0, {params.area_max!r})")
+    _check_areas(np.asarray(A, dtype=float), params.area_max)
+    if not np.all(np.isfinite(phi_frac)):
+        raise ValueError("sweep fraction must be finite")
     (A_f, t_f), shape = _flatten(A, np.mod(phi_frac, 1.0))
     eng = _engine(params)
-    Q, P = _curve_eval(eng, A_f, t_f)
+    Q, P = _curve_eval(eng, A_f, _fold_angle(t_f))
     return _restore(Q, shape), _restore(P, shape)
 
 
@@ -144,8 +153,8 @@ def sigma_inv(Q, P, params: PackingParams):
     ------
     NotInImage
         If ``(Q, P)`` lies on or outside the outermost level curve (the
-        image of the open ball boundary), including all points outside the
-        rectangle.
+        image of the open ball boundary), is not finite, or lies outside
+        the rectangle.
     """
     (Qf, Pf), shape = _flatten(Q, P)
     eng = _engine(params)
@@ -153,21 +162,13 @@ def sigma_inv(Q, P, params: PackingParams):
     up = Pf - eng.c
     rho2 = xi * xi + up * up
     alpha_q = np.arctan2(np.abs(up), np.abs(xi))
-    k = np.select(
-        [
-            (xi >= 0) & (up >= 0),
-            (xi < 0) & (up >= 0),
-            (xi < 0) & (up < 0),
-            (xi >= 0) & (up < 0),
-        ],
-        [0, 1, 2, 3],
-    )
     A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
     interior = rho2 > 0.0
     rho2_safe = np.where(interior, rho2, eng.radius_sq(A_lim * 1e-8, alpha_q))
-    outside = eng.radius_sq(np.full_like(rho2, A_lim), alpha_q) <= rho2_safe
-    if np.any(outside):
-        idx = np.argmax(outside)
+    # written so that NaN counts as outside
+    inside = rho2_safe < eng.radius_sq(np.full_like(rho2, A_lim), alpha_q)
+    if not np.all(inside):
+        idx = np.argmin(inside)
         raise NotInImage(
             f"point (Q, P) = ({Qf[idx]!r}, {Pf[idx]!r}) is not inside the "
             "image of the open ball"
@@ -183,16 +184,17 @@ def sigma_inv(Q, P, params: PackingParams):
         lo = np.where(val < 0.0, mid, lo)
     A = np.exp(0.5 * (lo + hi))
     for _ in range(4):
-        V = eng.radius_sq(A, alpha_q)
-        VA = eng.radius_sq_growth(A, alpha_q)
+        V, VA = eng.radius_sq(A, alpha_q, 1)
         A = A - (V - rho2_safe) / VA
     A = np.clip(A, 0.0, A_lim)
     b, total, wp = eng.build_sweep(A)
     s = np.clip(eng.warp_s(alpha_q, wp), -1.0, 1.0)
     phi_q = clenshaw(b, s) / (4.0 * total)
-    t = np.select(
-        [k == 0, k == 1, k == 2, k == 3],
-        [phi_q, 0.5 - phi_q, 0.5 + phi_q, 1.0 - phi_q],
+    # unfold the quarter sweep into the quadrant of (xi, up)
+    t = np.where(
+        up >= 0.0,
+        np.where(xi >= 0.0, phi_q, 0.5 - phi_q),
+        np.where(xi < 0.0, 0.5 + phi_q, 1.0 - phi_q),
     )
     u = A / np.pi
     th = 2.0 * np.pi * t
@@ -220,21 +222,13 @@ def sigma_jacobian(q, p, params: PackingParams):
     in regions where the curve shape changes on a scale far below any
     sensible finite-difference step.
     """
-    (qf, pf), shape = _flatten(q, p)
-    u = qf * qf + pf * pf
-    _check_in_ball(u, params.r)
+    qf, pf, shape, u, (tau4, s4, sq, sp), interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
-    A = np.pi * u
-    t = np.arctan2(pf, qf) / (2.0 * np.pi)
-    t = np.where(t < 0.0, t + 1.0, t)
-    _, tau4, s4, sq, sp = _fold_angle(t)
-    interior = u > 0.0
-    A_safe = np.where(interior, A, eng.area_max * 1e-8)
 
-    b, total, bA, totalA, wp = eng.build_sweep_pair(A_safe)
+    b, total, wp, bA, totalA = eng.build_sweep(A_safe, 1)
     alpha, s = eng.solve_angle(b, total, wp, tau4)
     phiA = clenshaw(bA, s)
-    V, V_A, V_AA, V_al = eng.radius_sq_jet(A_safe, alpha)
+    V, V_A, _, V_al = eng.radius_sq(A_safe, alpha, 2)
     R = np.sqrt(V)
     ca, sa = np.cos(alpha), np.sin(alpha)
 
@@ -257,8 +251,6 @@ def sigma_jacobian(q, p, params: PackingParams):
     J[:, 0, 1] = np.where(interior, X_A * A_p + X_t * tau_p, 0.0)
     J[:, 1, 0] = np.where(interior, Y_A * A_q + Y_t * tau_q, 0.0)
     J[:, 1, 1] = np.where(interior, Y_A * A_p + Y_t * tau_p, 1.0)
-    if shape == ():
-        return J[0]
     return J.reshape(shape + (2, 2))
 
 
@@ -302,8 +294,7 @@ def enclosed_area(A, params: PackingParams) -> float:
         If ``A`` is outside ``(0, pi*r**2)``.
     """
     A = float(A)
-    if not 0.0 < A < params.area_max:
-        raise ValueError(f"area must lie in (0, {params.area_max!r})")
+    _check_areas(A, params.area_max)
     eng = _engine(params)
     areas = []
     for nvert in (2048, 4096, 8192):

@@ -132,6 +132,16 @@ def test_embed_input_validation(capsys):
     assert "error:" in err
 
 
+def test_embed_negative_leading_coordinate(capsys):
+    # "--point -0.3,..." must not be read as an option; "--point=" still works
+    assert main(["embed", "--point", "-0.3,0.1,0.2,-0.1"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["embed", "--point=-0.3,0.1,0.2,-0.1"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert spaced.startswith("phi = (")
+    assert main(["embed", "--point"]) == 2
+
+
 def test_embed_three_factors(capsys):
     rc = main(["embed", "--n", "3", "--r", "0.7", "--point", "0.1,0,0.1,0,0.1,0"])
     assert rc == 0

@@ -98,9 +98,11 @@ def test_schedule_scalar_and_array(p28):
 
 
 def test_schedule_rejects_out_of_range(p28):
-    for bad in (0.0, -1.0, p28.area_max, p28.area_max * 1.01):
+    for bad in (0.0, -1.0, p28.area_max, p28.area_max * 1.01, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             shape_schedule(bad, p28)
+        with pytest.raises(ValueError):
+            shape_schedule(np.array([0.5, bad]), p28)
 
 
 def test_schedule_monotone_and_banded(p28):
@@ -163,7 +165,7 @@ def _central(fn, x, h):
 def test_schedule_rates_match_fd(p28):
     eng = _engine(p28)
     A = np.array([1e-4, 3e-3, 0.05, 0.3, 0.9, 1.6, 1.95])
-    h, a, m, hp, ap, mp = eng.schedule_rates(A)
+    h, a, m, hp, ap, mp = eng.schedule(A, 1)
     step = 1e-7 * p28.area_max
     # hybrid tolerance: relative where the derivative is live, with an
     # absolute allowance for differencing noise on the flat stretches
@@ -175,8 +177,7 @@ def test_schedule_rates_match_fd(p28):
 def test_schedule_jet_second_derivatives(p28):
     eng = _engine(p28)
     A = np.array([0.01, 0.2, 0.8, 1.7])
-    jet = eng.schedule_jet(A)
-    hpp, app, mpp = jet[2], jet[5], jet[8]
+    hpp, app, mpp = eng.schedule(A, 2)[6:]
     step = 2e-5 * p28.area_max
     for which, anal in ((0, hpp), (1, app), (2, mpp)):
         f0 = eng.schedule(A)[which]
@@ -197,7 +198,7 @@ def test_radius_field_axes_and_growth(p28):
     assert np.allclose(V1, h**2, rtol=1e-12)
     # nesting: the radius field grows with area at every angle
     alpha = np.linspace(0.0, np.pi / 2.0, 181)
-    VA = eng.radius_sq_growth(A[:, None], alpha[None, :])
+    _, VA = eng.radius_sq(A[:, None], alpha[None, :], 1)
     assert VA.min() > 0.0
 
 
@@ -205,7 +206,7 @@ def test_radius_jet_matches_fd(p28):
     eng = _engine(p28)
     A = np.array([0.05, 0.6, 1.4, 1.9])
     alpha = np.array([0.15, 0.7, 1.1, 1.45])
-    V, V_A, V_AA, V_al = eng.radius_sq_jet(A, alpha)
+    V, V_A, V_AA, V_al = eng.radius_sq(A, alpha, 2)
     assert np.allclose(V, eng.radius_sq(A, alpha), rtol=1e-13)
     hA = 1e-6
     fdA = _central(lambda x: eng.radius_sq(x, alpha), A, hA)
@@ -220,6 +221,29 @@ def test_radius_jet_matches_fd(p28):
     hal = 1e-6
     fdal = _central(lambda x: eng.radius_sq(A, x), alpha, hal)
     assert np.max(np.abs(fdal - V_al) / np.maximum(np.abs(V_al), 1e-6)) < 1e-4
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (3, 0.7), (6, 0.534)])
+def test_jets_share_leading_outputs_bitwise(n, r):
+    # one implementation per quantity: a higher order only appends terms
+    eng = _engine(make_params(n, r))
+    A = np.geomspace(1e-6, 0.999, 40) * eng.area_max
+    alpha = np.linspace(0.0, np.pi / 2.0, 40)
+    sched = [eng.schedule(A, order) for order in (0, 1, 2)]
+    assert [len(s) for s in sched] == [3, 6, 9]
+    for lo, hi in ((0, 1), (0, 2), (1, 2)):
+        for x, y in zip(sched[lo], sched[hi]):
+            assert np.array_equal(x, y)
+    V0 = eng.radius_sq(A, alpha)
+    V1, VA1 = eng.radius_sq(A, alpha, 1)
+    V2, VA2, _, _ = eng.radius_sq(A, alpha, 2)
+    assert np.array_equal(V0, V1) and np.array_equal(V0, V2)
+    assert np.array_equal(VA1, VA2)
+    sweep0 = eng.build_sweep(A)
+    sweep1 = eng.build_sweep(A, 1)
+    assert len(sweep0) == 3 and len(sweep1) == 5
+    for x, y in zip(sweep0[:2] + sweep0[2], sweep1[:2] + sweep1[2]):
+        assert np.array_equal(x, y)
 
 
 @settings(max_examples=60, deadline=None)

@@ -86,6 +86,26 @@ def test_rejects_points_outside_ball(p28):
     sigma(p28.r * (1.0 - 1e-8), 0.0, p28)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise(p28, bad):
+    # NaN compares False both ways, so every range test must reject it
+    for call in (sigma, sigma_jacobian):
+        with pytest.raises(ValueError):
+            call(bad, 0.1, p28)
+        with pytest.raises(ValueError):
+            call(np.array([0.1, 0.2]), np.array([0.1, bad]), p28)
+    with pytest.raises(NotInImage):
+        sigma_inv(bad, 0.3, p28)
+    with pytest.raises(NotInImage):
+        sigma_inv(np.array([np.pi / 2.0, 1.5]), np.array([p28.c, bad]), p28)
+    with pytest.raises(ValueError):
+        level_curve_point(bad, 0.1, p28)
+    with pytest.raises(ValueError):
+        level_curve_point(0.9, bad, p28)
+    with pytest.raises(ValueError):
+        enclosed_area(bad, p28)
+
+
 def test_scalar_and_array_shapes(p28):
     Q, P = sigma(0.1, 0.2, p28)
     assert np.ndim(Q) == 0 and np.ndim(P) == 0
