@@ -123,6 +123,8 @@ def chart_j_inv(z):
 
     Raises
     ------
+    ValueError
+        If some ``z_k`` is not finite.
     OnAxes
         If some ``z_k = 0`` (the angle is undefined there).
     BranchBoundary
@@ -130,6 +132,8 @@ def chart_j_inv(z):
         outside the open box.
     """
     z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("chart_j_inv needs finite coordinates")
     P = moment_map(z)
     if np.any(P == 0.0):
         raise OnAxes("chart angle undefined where a coordinate vanishes")

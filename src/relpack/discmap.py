@@ -157,22 +157,26 @@ def sigma_inv(Q, P, params: PackingParams):
         the rectangle.
     """
     (Qf, Pf), shape = _flatten(Q, P)
+
+    def require(ok):
+        if not np.all(ok):
+            i = np.argmin(ok)
+            raise NotInImage(
+                f"point (Q, P) = ({float(Qf[i])!r}, {float(Pf[i])!r}) is not "
+                "inside the image of the open ball"
+            )
+
     eng = _engine(params)
     xi = Qf - np.pi / 2.0
     up = Pf - eng.c
     rho2 = xi * xi + up * up
+    # a non-finite point must not reach radius_sq
+    require(np.isfinite(rho2))
     alpha_q = np.arctan2(np.abs(up), np.abs(xi))
     A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
     interior = rho2 > 0.0
     rho2_safe = np.where(interior, rho2, eng.radius_sq(A_lim * 1e-8, alpha_q))
-    # written so that NaN counts as outside
-    inside = rho2_safe < eng.radius_sq(np.full_like(rho2, A_lim), alpha_q)
-    if not np.all(inside):
-        idx = np.argmin(inside)
-        raise NotInImage(
-            f"point (Q, P) = ({Qf[idx]!r}, {Pf[idx]!r}) is not inside the "
-            "image of the open ball"
-        )
+    require(rho2_safe < eng.radius_sq(np.full_like(rho2, A_lim), alpha_q))
     # solve radius_sq(A, alpha_q) = rho2 for A: bisection in log A, then
     # a few Newton steps to machine accuracy
     lo = np.full_like(rho2, np.log(1e-18))

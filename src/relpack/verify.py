@@ -3,13 +3,14 @@
 Every numbered guarantee of the construction (determinant one, band bounds,
 midline behavior, containment, injectivity, curve areas, chart
 symplecticity, torus preimage, sharpness arithmetic) is evaluated here over
-seeded sample pools and folded into a `VerificationReport`.  All
+seeded sample pools and folded into a `VerificationReport`.  `run_all`
+maps each pool once, and every check reads that shared evaluation.  All
 aggregation uses max/min reductions only, so results are independent of
 sample ordering and of how work is chunked across threads; reports are
 bit-identical for a fixed seed.
 
-The map under test is injectable (`MapSet`), which lets the test suite
-prove each check can fail by wiring in deliberately broken maps.
+The map under test is injectable (a `MapSet` passed to `run_all`), which
+lets the test suite prove each check can fail by wiring in broken maps.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ DEFAULT_TOLERANCES = {
 }
 
 _CHUNK = 16384
+ROUND_TRIP_LIMIT = 30000  # main-pool factor points sent back through sigma_inv
 
 
 @dataclass(frozen=True)
@@ -298,175 +300,152 @@ def _factor_points(pool, n):
 
 
 # ---------------------------------------------------------------------------
+# shared evaluation
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Evaluation:
+    """Every pool of one run, passed through the maps once.
+
+    ``pool`` is the main pool (uniform rows, then boundary-biased rows) and
+    ``images`` its product image.  ``det`` is the Jacobian determinant at
+    each main-pool factor point, and ``inverse`` holds ``sigma_inv`` of the
+    first `ROUND_TRIP_LIMIT` factor images as ``(q, p)`` rows.
+    """
+
+    params: PackingParams
+    pool: np.ndarray
+    images: np.ndarray
+    det: np.ndarray
+    inverse: np.ndarray
+    diam: np.ndarray
+    diam_images: np.ndarray
+    mid: np.ndarray
+    mid_images: np.ndarray
+
+
+def _evaluate(params, pool, diam, mid, maps, nthreads):
+    """Pass each pool through ``maps`` once and collect the results.
+
+    ``sigma`` maps the main, diameter and midline pools; the main pool's
+    factor points are also differentiated and sent back through
+    ``sigma_inv``.  Each chunk reduces its Jacobians to determinants, so
+    no (N, 2, 2) array outlives its chunk.
+    """
+    def det(q, p):
+        J = maps.sigma_jacobian(q, p, params)
+        return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+
+    def inverse(Q, P):
+        return np.column_stack(maps.sigma_inv(Q, P, params))
+
+    images = _product_images(pool, params, maps, nthreads)
+    fp = _factor_points(pool, params.n)
+    fi = _factor_points(images, params.n)[:ROUND_TRIP_LIMIT]
+    return _Evaluation(
+        params=params,
+        pool=pool,
+        images=images,
+        det=_run_chunks(det, [fp[:, 0], fp[:, 1]], nthreads),
+        inverse=_run_chunks(inverse, [fi[:, 0], fi[:, 1]], nthreads),
+        diam=diam,
+        diam_images=_product_images(diam, params, maps, nthreads),
+        mid=mid,
+        mid_images=_product_images(mid, params, maps, nthreads),
+    )
+
+
+def _record(name, slack, tol, points=None, floor=0.0):
+    """Reduce a check's slack array to its `CheckRecord`.
+
+    The margin is the least slack, and the check passes when it exceeds
+    ``floor``.  A tolerance check (error ``<= tol``) hands in ``tol - err``,
+    whose least value is exactly ``tol - max(err)``.  ``points`` holds the
+    sample behind each slack, in the same order.
+    """
+    slack = np.asarray(slack, dtype=float)
+    i = int(np.argmin(slack))
+    margin = float(slack[i])
+    return CheckRecord(
+        name=name,
+        passed=margin > floor,
+        worst_margin=margin,
+        tolerance=tol,
+        samples_used=slack.size,
+        worst_point=None if points is None
+        else tuple(float(v) for v in points[i]),
+    )
+
+
+# ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
 
-def check_area_preservation(samples, params, tol=1e-6, maps=None, threads=None):
+def check_area_preservation(ev, tol=1e-6):
     """Determinant of the factor-map Jacobian within ``tol`` of 1."""
-    maps = maps or default_maps()
-    nthreads = resolve_threads(threads)
-    fp = _factor_points(np.asarray(samples, dtype=float), params.n)
-
-    def fn(q, p):
-        J = maps.sigma_jacobian(q, p, params)
-        return np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0] - 1.0)
-
-    err = _run_chunks(fn, [fp[:, 0], fp[:, 1]], nthreads)
-    i = int(np.argmax(err))
-    margin = tol - float(err[i])
-    return CheckRecord(
-        name="area_preservation",
-        passed=margin > 0.0,
-        worst_margin=margin,
-        tolerance=tol,
-        samples_used=fp.shape[0],
-        worst_point=(float(fp[i, 0]), float(fp[i, 1])),
-    )
+    return _record("area_preservation", tol - np.abs(ev.det - 1.0), tol,
+                   _factor_points(ev.pool, ev.params.n))
 
 
-def check_containment(samples, params, floor=0.0, maps=None, threads=None,
-                      images=None):
+def check_containment(ev, floor=0.0):
     """Images inside the open box/simplex; margin is the minimal slack.
 
     ``floor`` raises the bar: the check passes only if the minimal slack
     strictly exceeds it (default 0, the open-constraint requirement).
     """
-    maps = maps or default_maps()
-    samples = np.asarray(samples, dtype=float)
-    if images is None:
-        images = _product_images(samples, params, maps, resolve_threads(threads))
-    Q = images[:, 0::2]
-    P = images[:, 1::2]
+    Q = ev.images[:, 0::2]
+    P = ev.images[:, 1::2]
     slack = np.minimum(
         np.min(np.minimum(Q, np.pi - Q), axis=1),
         np.minimum(np.min(P, axis=1), 1.0 - np.sum(P, axis=1)),
     )
-    i = int(np.argmin(slack))
-    margin = float(slack[i])
-    return CheckRecord(
-        name="containment",
-        passed=margin > floor,
-        worst_margin=margin,
-        tolerance=floor,
-        samples_used=samples.shape[0],
-        worst_point=tuple(float(v) for v in samples[i]),
-    )
+    return _record("containment", slack, floor, ev.pool, floor)
 
 
-def check_band_margins(samples, params, floor=0.0, maps=None, threads=None,
-                       images=None):
+def check_band_margins(ev, floor=0.0):
     """Two-sided band: ``|P_i - c| <= u_i/2 + epsilon`` for every factor."""
-    maps = maps or default_maps()
-    samples = np.asarray(samples, dtype=float)
-    if images is None:
-        images = _product_images(samples, params, maps, resolve_threads(threads))
-    P = images[:, 1::2]
-    u = samples[:, 0::2] ** 2 + samples[:, 1::2] ** 2
-    halfband = u / 2.0 + params.epsilon
-    slack = np.min(halfband - np.abs(P - params.c), axis=1)
-    i = int(np.argmin(slack))
-    margin = float(slack[i])
-    return CheckRecord(
-        name="band_margins",
-        passed=margin > floor,
-        worst_margin=margin,
-        tolerance=floor,
-        samples_used=samples.shape[0],
-        worst_point=tuple(float(v) for v in samples[i]),
-    )
+    u = ev.pool[:, 0::2] ** 2 + ev.pool[:, 1::2] ** 2
+    halfband = u / 2.0 + ev.params.epsilon
+    slack = np.min(halfband - np.abs(ev.images[:, 1::2] - ev.params.c), axis=1)
+    return _record("band_margins", slack, floor, ev.pool, floor)
 
 
-def check_midline(diam_samples, mid_samples, params, tol=1e-12, maps=None,
-                  threads=None):
+def check_midline(ev, tol=1e-12):
     """Diameter points land on ``P = c``; the sign of ``P - c`` follows ``p``."""
-    maps = maps or default_maps()
-    nthreads = resolve_threads(threads)
-    n = params.n
-    dfp = _factor_points(np.asarray(diam_samples, dtype=float), n)
-    mfp = _factor_points(np.asarray(mid_samples, dtype=float), n)
-
-    def img(q, p):
-        Q, P = maps.sigma(q, p, params)
-        return P
-
-    P_d = _run_chunks(img, [dfp[:, 0], dfp[:, 1]], nthreads)
-    err_d = np.abs(P_d - params.c)
-    i_d = int(np.argmax(err_d))
-    margin_d = tol - float(err_d[i_d])
-
-    P_m = _run_chunks(img, [mfp[:, 0], mfp[:, 1]], nthreads)
-    signed = (P_m - params.c) * np.sign(mfp[:, 1])
-    i_m = int(np.argmin(signed))
-    margin_m = float(signed[i_m])
-
-    if margin_d <= margin_m:
-        margin, point = margin_d, (float(dfp[i_d, 0]), float(dfp[i_d, 1]))
-    else:
-        margin, point = margin_m, (float(mfp[i_m, 0]), float(mfp[i_m, 1]))
-    return CheckRecord(
-        name="midline",
-        passed=margin > 0.0,
-        worst_margin=margin,
-        tolerance=tol,
-        samples_used=dfp.shape[0] + mfp.shape[0],
-        worst_point=point,
-    )
+    n, c = ev.params.n, ev.params.c
+    mfp = _factor_points(ev.mid, n)
+    P_d = _factor_points(ev.diam_images, n)[:, 1]
+    P_m = _factor_points(ev.mid_images, n)[:, 1]
+    slack = np.concatenate(
+        [tol - np.abs(P_d - c), (P_m - c) * np.sign(mfp[:, 1])])
+    return _record("midline", slack, tol,
+                   np.concatenate([_factor_points(ev.diam, n), mfp]))
 
 
-def check_round_trip(samples, params, tol=1e-9, maps=None, threads=None,
-                     limit=30000):
+def check_round_trip(ev, tol=1e-9):
     """``sigma_inv(sigma(x)) == x`` within ``tol`` per coordinate."""
-    maps = maps or default_maps()
-    nthreads = resolve_threads(threads)
-    fp = _factor_points(np.asarray(samples, dtype=float), params.n)
-    if limit is not None:
-        fp = fp[:limit]
-
-    def fn(q, p):
-        Q, P = maps.sigma(q, p, params)
-        q2, p2 = maps.sigma_inv(Q, P, params)
-        return np.maximum(np.abs(q2 - q), np.abs(p2 - p))
-
-    err = _run_chunks(fn, [fp[:, 0], fp[:, 1]], nthreads)
-    i = int(np.argmax(err))
-    margin = tol - float(err[i])
-    return CheckRecord(
-        name="round_trip",
-        passed=margin > 0.0,
-        worst_margin=margin,
-        tolerance=tol,
-        samples_used=fp.shape[0],
-        worst_point=(float(fp[i, 0]), float(fp[i, 1])),
-    )
+    fp = _factor_points(ev.pool, ev.params.n)[: len(ev.inverse)]
+    err = np.max(np.abs(ev.inverse - fp), axis=1)
+    return _record("round_trip", tol - err, tol, fp)
 
 
 def check_curve_areas(params, tol=1e-6, count=32):
     """Enclosed-area oracle agrees with the defining area on a grid."""
     grid = np.geomspace(1e-4 * params.area_max, (1.0 - 1e-9) * params.area_max,
                         count)
-    worst = -np.inf
-    worst_A = grid[0]
-    for A in grid:
+    rel = np.empty(count)
+    for k, A in enumerate(grid):
         try:
-            rel = abs(discmap.enclosed_area(A, params) - A) / A
+            rel[k] = abs(discmap.enclosed_area(A, params) - A) / A
         except QuadratureNonConvergent:
             # sentinel: a non-convergent ladder fails the check outright
-            rel = 1.0
-        if rel > worst:
-            worst, worst_A = rel, A
-    margin = tol - worst
-    return CheckRecord(
-        name="curve_areas",
-        passed=margin > 0.0,
-        worst_margin=margin,
-        tolerance=tol,
-        samples_used=count,
-        worst_point=(float(worst_A),),
-    )
+            rel[k] = 1.0
+    return _record("curve_areas", tol - rel, tol, grid[:, None])
 
 
-def check_chart_symplectic(images, tol=1e-6, limit=None):
+def check_chart_symplectic(images, tol=1e-6):
     """Pullback defect of the chart at mapped points.
 
     The spot tolerance is ``tol`` where all actions are healthy and 1e-4
@@ -474,64 +453,27 @@ def check_chart_symplectic(images, tol=1e-6, limit=None):
     not a property failure).
     """
     pts = np.asarray(images, dtype=float)
-    if limit is not None:
-        pts = pts[:limit]
-    defect = chart_symplectic_check(pts)
-    P = pts[:, 1::2]
-    tiered = np.where(np.any(P < 1e-3, axis=1), 1e-4, tol)
-    slack = tiered - defect
-    i = int(np.argmin(slack))
-    return CheckRecord(
-        name="chart_symplectic",
-        passed=float(slack[i]) > 0.0,
-        worst_margin=float(slack[i]),
-        tolerance=tol,
-        samples_used=pts.shape[0],
-        worst_point=tuple(float(v) for v in pts[i]),
-    )
+    tiered = np.where(np.any(pts[:, 1::2] < 1e-3, axis=1), 1e-4, tol)
+    return _record("chart_symplectic", tiered - chart_symplectic_check(pts),
+                   tol, pts)
 
 
-def check_lagrangian_preimage(params, diam_samples=None, mid_samples=None,
-                              tol=1e-12, maps=None, threads=None, seed=0):
+def check_lagrangian_preimage(ev, tol=1e-12):
     """Real slice lands on the torus; off-slice points leave it, signed.
 
     Diameter samples must embed with action distance below ``tol`` from
     the level ``c`` in every factor; near-midline samples must satisfy
     ``sign(|z_i|**2 - c) = sign(p_i)`` with strictly positive offset.
     """
-    maps = maps or default_maps()
-    nthreads = resolve_threads(threads)
-    if diam_samples is None:
-        diam_samples = sample(SampleSpec("diameter-only", 1000, seed), params)
-    if mid_samples is None:
-        mid_samples = sample(SampleSpec("midline", 1000, seed + 1), params)
-    diam_samples = np.asarray(diam_samples, dtype=float)
-    mid_samples = np.asarray(mid_samples, dtype=float)
-
-    img_d = _product_images(diam_samples, params, maps, nthreads)
-    act_d = (np.abs(chart_j(img_d)) ** 2)
-    dist_d = np.max(np.abs(act_d - params.c), axis=1)
-    i_d = int(np.argmax(dist_d))
-    margin_d = tol - float(dist_d[i_d])
-
-    img_m = _product_images(mid_samples, params, maps, nthreads)
-    act_m = (np.abs(chart_j(img_m)) ** 2)
-    signed = np.min((act_m - params.c) * np.sign(mid_samples[:, 1::2]), axis=1)
-    i_m = int(np.argmin(signed))
-    margin_m = float(signed[i_m])
-
-    if margin_d <= margin_m:
-        margin, point = margin_d, tuple(float(v) for v in diam_samples[i_d])
-    else:
-        margin, point = margin_m, tuple(float(v) for v in mid_samples[i_m])
-    return CheckRecord(
-        name="lagrangian_preimage",
-        passed=margin > 0.0,
-        worst_margin=margin,
-        tolerance=tol,
-        samples_used=diam_samples.shape[0] + mid_samples.shape[0],
-        worst_point=point,
-    )
+    c = ev.params.c
+    act_d = np.abs(chart_j(ev.diam_images)) ** 2
+    act_m = np.abs(chart_j(ev.mid_images)) ** 2
+    slack = np.concatenate([
+        tol - np.max(np.abs(act_d - c), axis=1),
+        np.min((act_m - c) * np.sign(ev.mid[:, 1::2]), axis=1),
+    ])
+    return _record("lagrangian_preimage", slack, tol,
+                   np.concatenate([ev.diam, ev.mid]))
 
 
 def check_sharpness_identity(params, tol=1e-15):
@@ -545,15 +487,7 @@ def check_sharpness_identity(params, tol=1e-15):
     defect = abs(n * params.c + params.r**2 / 2.0 + n * eps_def - 1.0)
     r2_near = 2.0 / (n + 1) - 1e-9
     eps_near = (1.0 / (n + 1) - r2_near / 2.0) / n
-    margin = min(tol - defect, 1e-9 - eps_near)
-    return CheckRecord(
-        name="sharpness_identity",
-        passed=margin > 0.0,
-        worst_margin=margin,
-        tolerance=tol,
-        samples_used=2,
-        worst_point=None,
-    )
+    return _record("sharpness_identity", [tol - defect, 1e-9 - eps_near], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +498,9 @@ def check_sharpness_identity(params, tol=1e-15):
 def run_all(params: PackingParams, spec: SampleSpec | None = None,
             tolerances=None, maps=None, threads=None) -> VerificationReport:
     """Run every check over seeded pools and aggregate into a report.
+
+    The four pools are sampled, then mapped once into a shared evaluation
+    that every check reads.
 
     Parameters
     ----------
@@ -587,8 +524,6 @@ def run_all(params: PackingParams, spec: SampleSpec | None = None,
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
         tol.update(tolerances)
-    maps = maps or default_maps()
-    nthreads = resolve_threads(threads)
 
     aux_seeds = np.random.SeedSequence(spec.seed).generate_state(3)
     pool_uni = sample(spec, params)
@@ -600,28 +535,22 @@ def run_all(params: PackingParams, spec: SampleSpec | None = None,
                    int(aux_seeds[1])), params)
     pool_mid = sample(SampleSpec("midline", 1000, int(aux_seeds[2])), params)
 
-    main_pool = np.concatenate([pool_uni, pool_bnd], axis=0)
-    images = _product_images(main_pool, params, maps, nthreads)
+    ev = _evaluate(params, np.concatenate([pool_uni, pool_bnd], axis=0),
+                   pool_diam, pool_mid, maps or default_maps(),
+                   resolve_threads(threads))
+    k = len(pool_uni)
     chart_pts = np.concatenate(
-        [images[: min(1000, len(pool_uni))],
-         images[len(pool_uni) : len(pool_uni) + 200]], axis=0)
+        [ev.images[: min(1000, k)], ev.images[k : k + 200]], axis=0)
 
     checks = [
-        check_area_preservation(main_pool, params, tol["area_preservation"],
-                                maps=maps, threads=nthreads),
-        check_containment(main_pool, params, tol["containment"],
-                          maps=maps, images=images),
-        check_midline(pool_diam, pool_mid, params, tol["midline"],
-                      maps=maps, threads=nthreads),
-        check_band_margins(main_pool, params, tol["band_margins"],
-                           maps=maps, images=images),
-        check_round_trip(main_pool, params, tol["round_trip"], maps=maps,
-                         threads=nthreads),
+        check_area_preservation(ev, tol["area_preservation"]),
+        check_containment(ev, tol["containment"]),
+        check_midline(ev, tol["midline"]),
+        check_band_margins(ev, tol["band_margins"]),
+        check_round_trip(ev, tol["round_trip"]),
         check_curve_areas(params, tol["curve_areas"]),
         check_chart_symplectic(chart_pts, tol["chart_symplectic"]),
-        check_lagrangian_preimage(params, pool_diam, pool_mid,
-                                  tol["lagrangian_preimage"], maps=maps,
-                                  threads=nthreads),
+        check_lagrangian_preimage(ev, tol["lagrangian_preimage"]),
         check_sharpness_identity(params, tol["sharpness_identity"]),
     ]
     return VerificationReport(

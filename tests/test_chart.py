@@ -53,6 +53,11 @@ def test_chart_inverse_branches():
         chart_j_inv(np.array([0.0 + 0.0j]))
     with pytest.raises(BranchBoundary):
         chart_j_inv(np.array([0.3 + 0.0j]))  # positive real axis
+    # NaN compares False with 0, so it would slip past both tests above
+    for bad in (complex(np.nan, 0.0), complex(0.3, np.inf),
+                complex(-np.inf, 0.1)):
+        with pytest.raises(ValueError):
+            chart_j_inv(np.array([bad, 0.3 + 0.1j]))
 
 
 def test_chart_domain_validation():

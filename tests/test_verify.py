@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from relpack import make_params
+from relpack import discmap, make_params
 from relpack.verify import (
     DEFAULT_TOLERANCES,
+    ROUND_TRIP_LIMIT,
+    MapSet,
     SampleSpec,
-    check_area_preservation,
     check_curve_areas,
-    check_round_trip,
     check_sharpness_identity,
     resolve_threads,
     run_all,
@@ -101,10 +101,34 @@ def test_resolve_threads_env(monkeypatch):
 
 
 def test_threaded_run_is_bit_identical(p28):
-    spec = SampleSpec("uniform-ball", 3000, 21)
+    # 9000 + 900 rows give 19800 factor points: two chunks, so the Jacobian
+    # and round-trip passes really run on several threads
+    spec = SampleSpec("uniform-ball", 9000, 21)
     r1 = run_all(p28, spec, threads=1)
     r4 = run_all(p28, spec, threads=4)
     assert r1.to_json() == r4.to_json()
+
+
+def test_each_pool_is_mapped_once(p28):
+    counts = {"sigma": 0, "sigma_jacobian": 0, "sigma_inv": 0}
+
+    def counting(name):
+        fn = getattr(discmap, name)
+
+        def wrapped(a, b, params):
+            counts[name] += np.size(a)
+            return fn(a, b, params)
+
+        return wrapped
+
+    run_all(p28, SampleSpec("uniform-ball", 2000, 5),
+            maps=MapSet(**{name: counting(name) for name in counts}))
+    n = p28.n
+    main = 2000 + 200  # uniform and boundary-biased rows
+    aux = 1000 + 1000  # diameter and midline rows
+    assert counts["sigma"] == n * (main + aux)
+    assert counts["sigma_jacobian"] == n * main
+    assert counts["sigma_inv"] == min(ROUND_TRIP_LIMIT, n * main)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +204,9 @@ def test_tightened_tolerance_fails_cleanly(p28):
 
 
 def test_grid_area_check(p28):
-    # lattice restricted to the first factor, differenced determinant
-    pts = sample(SampleSpec("grid", 10000, 0), p28)
-    rec = check_area_preservation(pts, p28)
+    # main pool led by a lattice restricted to the first factor
+    rep = run_all(p28, SampleSpec("grid", 10000, 0))
+    rec = {c.name: c for c in rep.checks}["area_preservation"]
     assert rec.passed
     assert rec.worst_margin > 0.0
     assert rec.tolerance == DEFAULT_TOLERANCES["area_preservation"]
@@ -204,14 +228,14 @@ def test_curve_area_record(p37):
 
 
 def test_broken_maps_fail_area_only_spotcheck(p28):
-    maps = stretched_maps()
-    pts = sample(SampleSpec("uniform-ball", 2000, 17), p28)
-    bad = check_area_preservation(pts, p28, maps=maps)
+    rep = run_all(p28, SampleSpec("uniform-ball", 2000, 17),
+                  maps=stretched_maps())
+    records = {c.name: c for c in rep.checks}
+    bad = records["area_preservation"]
     assert not bad.passed
     # the stretch misses the true determinant by exactly one percent
     assert bad.worst_margin == pytest.approx(
         DEFAULT_TOLERANCES["area_preservation"] - 0.01, abs=1e-6
     )
     # while the self-consistent round trip still closes
-    good = check_round_trip(pts, p28, maps=maps)
-    assert good.passed
+    assert records["round_trip"].passed
