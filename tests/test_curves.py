@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relpack import ScheduleInfeasible, level_curve, make_params, shape_schedule
+from relpack import curves
 from relpack.curves import (
     _engine,
+    antideriv_nodes,
     area_factor,
     cheb_antideriv,
     cheb_coeffs,
     clenshaw,
-    clenshaw_der,
+    clenshaw_jet,
 )
 
 # ---------------------------------------------------------------------------
@@ -58,7 +60,9 @@ def test_clenshaw_reproduces_exp():
     c = cheb_coeffs(np.exp(xn))
     xs = np.linspace(-1.0, 1.0, 257)
     assert np.max(np.abs(clenshaw(c, xs) - np.exp(xs))) < 1e-14
-    assert np.max(np.abs(clenshaw_der(c, xs) - np.exp(xs))) < 1e-11
+    val, der = clenshaw_jet(c, xs)
+    assert np.array_equal(val, clenshaw(c, xs))
+    assert np.max(np.abs(der - np.exp(xs))) < 1e-11
 
 
 def test_antiderivative_of_exp():
@@ -70,8 +74,10 @@ def test_antiderivative_of_exp():
     assert abs(clenshaw(b, np.asarray(-1.0))) < 1e-15
     exact = np.exp(xs) - np.exp(-1.0)
     assert np.max(np.abs(clenshaw(b, xs) - exact)) < 1e-14
-    # fundamental theorem, through the second-kind recurrence
-    assert np.max(np.abs(clenshaw_der(b, xs) - np.exp(xs))) < 1e-11
+    # fundamental theorem, through the differentiated recurrence
+    assert np.max(np.abs(clenshaw_jet(b, xs)[1] - np.exp(xs))) < 1e-11
+    # on the integrand's own nodes, through one DCT-I
+    assert np.max(np.abs(antideriv_nodes(b) - (np.exp(xn) - np.exp(-1.0)))) < 1e-14
 
 
 def test_cheb_batch_axis():
@@ -258,3 +264,48 @@ def test_level_curve_invariants(frac):
     assert 0.0 < lc.halfwidth < math.pi / 2.0
     area = 4.0 * lc.halfwidth * lc.halfheight * area_factor(lc.exponent)
     assert area == pytest.approx(A, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sweep-angle solve
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_solve_angle_residual_at_roundoff(n, r):
+    eng = _engine(make_params(n, r))
+    am = eng.area_max
+    A = np.concatenate(
+        [
+            np.geomspace(5e-4, 5e-3, 40),  # transition regime
+            am - np.geomspace(1e-6, 1e-13, 12),
+            np.geomspace(1e-8, 0.999, 20) * am,
+        ]
+    )
+    rng = np.random.default_rng(7)
+    tau = np.concatenate([[0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0], rng.random(20)])
+    A, tau = (x.ravel() for x in np.meshgrid(A, tau, indexing="ij"))
+    b, total, wp = eng.build_sweep(A)
+    _, s = eng.solve_angle(b, total, wp, tau)
+    assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 2e-15
+
+
+def test_solve_angle_series_passes(p28, monkeypatch):
+    eng = _engine(p28)
+    rng = np.random.default_rng(3)
+    A = rng.uniform(1e-6, 0.999, 64) * eng.area_max
+    b, total, wp = eng.build_sweep(A)
+    passes = []
+
+    def counting(name):
+        fn = getattr(curves, name)
+
+        def wrapped(*args):
+            passes.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("antideriv_nodes", "clenshaw", "clenshaw_jet"):
+        monkeypatch.setattr(curves, name, counting(name))
+    eng.solve_angle(b, total, wp, rng.random(64))
+    assert len(passes) <= 5

@@ -121,6 +121,24 @@ def test_scalar_and_array_shapes(p28):
     assert J.shape == (3, 2, 2, 2)
 
 
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_results_do_not_depend_on_the_batch(n, r, rng):
+    params = make_params(n, r)
+    pts = ball_points(rng, make_params(1, r, params.epsilon), 200)
+    pts[:4] = [[0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3]]  # tau4 in {0, 1}
+    q, p = pts[:, 0], pts[:, 1]
+    Q, P = sigma(q, p, params)
+    J = sigma_jacobian(q, p, params)
+    one = [sigma(a, b, params) for a, b in zip(q, p)]
+    assert np.array_equal(Q, [x for x, _ in one])
+    assert np.array_equal(P, [y for _, y in one])
+    J_one = np.stack([sigma_jacobian(a, b, params) for a, b in zip(q, p)])
+    assert np.array_equal(J, J_one)
+    Q_pre, P_pre = sigma(q[:37], p[:37], params)
+    assert np.array_equal(Q_pre, Q[:37]) and np.array_equal(P_pre, P[:37])
+    assert np.array_equal(sigma_jacobian(q[:37], p[:37], params), J[:37])
+
+
 # ---------------------------------------------------------------------------
 # level curves through the map
 
