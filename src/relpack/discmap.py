@@ -65,15 +65,32 @@ def _fold_angle(t):
     return tau4, s4, sq, sp
 
 
-def _curve_eval(eng, A, fold):
-    """Point of the level curve at area ``A`` and folded sweep fraction."""
+def _curve_eval(eng, A, fold, order=0):
+    """Point ``(Q, P)`` of the level curve at area ``A`` and folded fraction.
+
+    ``order=1`` appends ``(Q_A, Q_t, P_A, P_t)``, the derivatives in ``A``
+    and in ``tau4``.
+    """
     tau4, _, sq, sp = fold
-    b, total, wp = eng.build_sweep(A)
-    alpha, _ = eng.solve_angle(b, total, wp, tau4)
-    R = np.sqrt(eng.radius_sq(A, alpha))
-    Q = np.pi / 2.0 + sq * R * np.cos(alpha)
-    P = eng.c + sp * R * np.sin(alpha)
-    return Q, P
+    b, total, wp, *sweep_A = eng.build_sweep(A, order)
+    alpha, s = eng.solve_angle(b, total, wp, tau4)
+    jet = eng.radius_sq(A, alpha, 2 * order)
+    R = np.sqrt(jet[0] if order else jet)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    Q = np.pi / 2.0 + sq * R * ca
+    P = eng.c + sp * R * sa
+    if order == 0:
+        return Q, P
+    # implicit differentiation of  Phi(A, alpha) = tau4 * total(A)
+    bA, totalA = sweep_A
+    V_A, _, V_al = jet[1:]
+    al_A = (tau4 * totalA - clenshaw(bA, s)) / V_A
+    al_t = total / V_A
+    Q_A = sq * (ca * (V_A + V_al * al_A) / (2.0 * R) - R * sa * al_A)
+    Q_t = sq * al_t * (ca * V_al / (2.0 * R) - R * sa)
+    P_A = sp * (sa * (V_A + V_al * al_A) / (2.0 * R) + R * ca * al_A)
+    P_t = sp * al_t * (sa * V_al / (2.0 * R) + R * ca)
+    return Q, P, Q_A, Q_t, P_A, P_t
 
 
 def _check_in_ball(u, r, what="q**2 + p**2"):
@@ -101,6 +118,13 @@ def _polar(q, p, params):
     return qf, pf, shape, u, _fold_angle(t), interior, A_safe
 
 
+def _centred(eng, Q, P, interior, shape):
+    """Send the center to ``(pi/2, c)`` and restore the input shape."""
+    Q = np.where(interior, Q, np.pi / 2.0)
+    P = np.where(interior, P, eng.c)
+    return _restore(Q, shape), _restore(P, shape)
+
+
 def sigma(q, p, params: PackingParams):
     """Map disc points into the rectangle, preserving area.
 
@@ -123,10 +147,7 @@ def sigma(q, p, params: PackingParams):
     """
     _, _, shape, _, fold, interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
-    Q, P = _curve_eval(eng, A_safe, fold)
-    Q = np.where(interior, Q, np.pi / 2.0)
-    P = np.where(interior, P, eng.c)
-    return _restore(Q, shape), _restore(P, shape)
+    return _centred(eng, *_curve_eval(eng, A_safe, fold), interior, shape)
 
 
 def level_curve_point(A, phi_frac, params: PackingParams):
@@ -208,10 +229,12 @@ def sigma_inv(Q, P, params: PackingParams):
 
 
 def sigma_jacobian(q, p, params: PackingParams):
-    """Jacobian of `sigma`, in closed form.
+    """`sigma` together with its Jacobian, in closed form.
 
     Returns
     -------
+    Q, P : float or ndarray
+        The image, bit for bit what `sigma` returns.
     J : ndarray, shape (..., 2, 2)
         ``J[..., 0, :] = (dQ/dq, dQ/dp)`` and ``J[..., 1, :] = (dP/dq,
         dP/dp)``.  At the center the map is smooth and the Jacobian is the
@@ -219,43 +242,28 @@ def sigma_jacobian(q, p, params: PackingParams):
 
     Notes
     -----
-    Assembled from exact derivatives of the schedule and the level-curve
-    radius, plus the derivative of the solved sweep angle obtained by
-    differentiating the sweep equation implicitly.  No finite differences
-    are involved, so the determinant is 1 up to quadrature roundoff even
-    in regions where the curve shape changes on a scale far below any
-    sensible finite-difference step.
+    The image and the derivatives share one sweep build, angle solve and
+    radius jet.  The derivatives are exact: those of the schedule and the
+    level-curve radius, and that of the solved sweep angle, obtained by
+    differentiating the sweep equation implicitly.  With no finite
+    differences, the determinant is 1 up to quadrature roundoff even where
+    the curve shape changes on a scale far below any sensible step.
     """
-    qf, pf, shape, u, (tau4, s4, sq, sp), interior, A_safe = _polar(q, p, params)
+    qf, pf, shape, u, fold, interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
-
-    b, total, wp, bA, totalA = eng.build_sweep(A_safe, 1)
-    alpha, s = eng.solve_angle(b, total, wp, tau4)
-    phiA = clenshaw(bA, s)
-    V, V_A, _, V_al = eng.radius_sq(A_safe, alpha, 2)
-    R = np.sqrt(V)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-
-    # implicit differentiation of  Phi(A, alpha) = tau4 * total(A)
-    al_A = (tau4 * totalA - phiA) / V_A
-    al_t = total / V_A
-    X_A = sq * (ca * (V_A + V_al * al_A) / (2.0 * R) - R * sa * al_A)
-    X_t = sq * al_t * (ca * V_al / (2.0 * R) - R * sa)
-    Y_A = sp * (sa * (V_A + V_al * al_A) / (2.0 * R) + R * ca * al_A)
-    Y_t = sp * al_t * (sa * V_al / (2.0 * R) + R * ca)
-
+    Q, P, Q_A, Q_t, P_A, P_t = _curve_eval(eng, A_safe, fold, 1)
     A_q, A_p = 2.0 * np.pi * qf, 2.0 * np.pi * pf
     with np.errstate(divide="ignore", invalid="ignore"):
         t_q = -pf / (2.0 * np.pi * u)
         t_p = qf / (2.0 * np.pi * u)
-    tau_q, tau_p = 4.0 * s4 * t_q, 4.0 * s4 * t_p
+    tau_q, tau_p = 4.0 * fold[1] * t_q, 4.0 * fold[1] * t_p
 
     J = np.empty((qf.size, 2, 2))
-    J[:, 0, 0] = np.where(interior, X_A * A_q + X_t * tau_q, 1.0)
-    J[:, 0, 1] = np.where(interior, X_A * A_p + X_t * tau_p, 0.0)
-    J[:, 1, 0] = np.where(interior, Y_A * A_q + Y_t * tau_q, 0.0)
-    J[:, 1, 1] = np.where(interior, Y_A * A_p + Y_t * tau_p, 1.0)
-    return J.reshape(shape + (2, 2))
+    J[:, 0, 0] = np.where(interior, Q_A * A_q + Q_t * tau_q, 1.0)
+    J[:, 0, 1] = np.where(interior, Q_A * A_p + Q_t * tau_p, 0.0)
+    J[:, 1, 0] = np.where(interior, P_A * A_q + P_t * tau_q, 0.0)
+    J[:, 1, 1] = np.where(interior, P_A * A_p + P_t * tau_p, 1.0)
+    return *_centred(eng, Q, P, interior, shape), J.reshape(shape + (2, 2))
 
 
 def _curve_polyline(eng, A, nvert):
@@ -336,10 +344,8 @@ def phi(coords, params: PackingParams):
     u_total = np.sum(coords**2, axis=-1)
     _check_in_ball(u_total, params.r, what="sum of q_i**2 + p_i**2")
     out = np.empty_like(coords)
-    for i in range(n):
-        Q, P = sigma(coords[..., 2 * i], coords[..., 2 * i + 1], params)
-        out[..., 2 * i] = Q
-        out[..., 2 * i + 1] = P
+    out[..., 0::2], out[..., 1::2] = sigma(coords[..., 0::2], coords[..., 1::2],
+                                           params)
     return out
 
 
@@ -362,7 +368,6 @@ def property_margins(coords, params: PackingParams):
         ``"worst"``: float, minimum over everything.
     """
     coords = np.asarray(coords, dtype=float)
-    n = params.n
     image = phi(coords, params)
     Q = image[..., 0::2]
     P = image[..., 1::2]

@@ -74,9 +74,9 @@ class SampleSpec:
 class MapSet:
     """The disc-map callables a verification run exercises.
 
-    Each callable has the corresponding `relpack.discmap` signature.  The
-    default set wires in the real implementation; tests substitute broken
-    maps to demonstrate that checks are able to fail.
+    Each has the `relpack.discmap` signature of its name.  ``sigma_jacobian``
+    maps the main pool, ``sigma_inv`` its images back and ``sigma`` the
+    diameter and midline pools; tests pass broken maps to show checks fail.
     """
 
     sigma: object
@@ -188,9 +188,7 @@ def _run_chunks(fn, arrays, nthreads):
         with ThreadPoolExecutor(max_workers=nthreads) as ex:
             parts = list(ex.map(one, slices))
     if isinstance(parts[0], tuple):
-        return tuple(
-            np.concatenate([p[i] for p in parts]) for i in range(len(parts[0]))
-        )
+        return tuple(map(np.concatenate, zip(*parts)))
     return np.concatenate(parts)
 
 
@@ -282,21 +280,16 @@ def sample(spec: SampleSpec, params: PackingParams):
 
 
 def _product_images(pool, params, maps, nthreads):
-    """Apply the factor map to every factor of every pooled point."""
+    """Apply ``sigma`` to every factor of every pooled point."""
 
     def fn(block):
         out = np.empty_like(block)
-        for i in range(params.n):
-            Q, P = maps.sigma(block[:, 2 * i], block[:, 2 * i + 1], params)
-            out[:, 2 * i] = Q
-            out[:, 2 * i + 1] = P
+        for i in range(0, 2 * params.n, 2):
+            out[:, i], out[:, i + 1] = maps.sigma(block[:, i], block[:, i + 1],
+                                                  params)
         return out
 
     return _run_chunks(fn, [pool], nthreads)
-
-
-def _factor_points(pool, n):
-    return pool.reshape(-1, 2 * n).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +301,10 @@ def _factor_points(pool, n):
 class _Evaluation:
     """Every pool of one run, passed through the maps once.
 
-    ``pool`` is the main pool (uniform rows, then boundary-biased rows) and
-    ``images`` its product image.  ``det`` is the Jacobian determinant at
-    each main-pool factor point, and ``inverse`` holds ``sigma_inv`` of the
-    first `ROUND_TRIP_LIMIT` factor images as ``(q, p)`` rows.
+    ``pool`` is the main pool (uniform rows, then boundary-biased rows);
+    one pass gives its product image ``images`` and the Jacobian
+    determinant ``det`` at each factor point.  ``inverse`` holds
+    ``sigma_inv`` of the first `ROUND_TRIP_LIMIT` factor images as rows.
     """
 
     params: PackingParams
@@ -328,27 +321,27 @@ class _Evaluation:
 def _evaluate(params, pool, diam, mid, maps, nthreads):
     """Pass each pool through ``maps`` once and collect the results.
 
-    ``sigma`` maps the main, diameter and midline pools; the main pool's
-    factor points are also differentiated and sent back through
-    ``sigma_inv``.  Each chunk reduces its Jacobians to determinants, so
-    no (N, 2, 2) array outlives its chunk.
+    The main pool's factor points go through ``sigma_jacobian`` once, and
+    their images back through ``sigma_inv``; ``sigma`` maps the diameter
+    and midline pools.  Each chunk reduces its Jacobians to determinants,
+    so no (N, 2, 2) array outlives its chunk.
     """
-    def det(q, p):
-        J = maps.sigma_jacobian(q, p, params)
-        return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    def forward(q, p):
+        Q, P, J = maps.sigma_jacobian(q, p, params)
+        return Q, P, J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
 
     def inverse(Q, P):
         return np.column_stack(maps.sigma_inv(Q, P, params))
 
-    images = _product_images(pool, params, maps, nthreads)
-    fp = _factor_points(pool, params.n)
-    fi = _factor_points(images, params.n)[:ROUND_TRIP_LIMIT]
+    fp = pool.reshape(-1, 2)
+    Q, P, det = _run_chunks(forward, [fp[:, 0], fp[:, 1]], nthreads)
+    k = ROUND_TRIP_LIMIT
     return _Evaluation(
         params=params,
         pool=pool,
-        images=images,
-        det=_run_chunks(det, [fp[:, 0], fp[:, 1]], nthreads),
-        inverse=_run_chunks(inverse, [fi[:, 0], fi[:, 1]], nthreads),
+        images=np.column_stack([Q, P]).reshape(pool.shape),
+        det=det,
+        inverse=_run_chunks(inverse, [Q[:k], P[:k]], nthreads),
         diam=diam,
         diam_images=_product_images(diam, params, maps, nthreads),
         mid=mid,
@@ -386,7 +379,7 @@ def _record(name, slack, tol, points=None, floor=0.0):
 def check_area_preservation(ev, tol=1e-6):
     """Determinant of the factor-map Jacobian within ``tol`` of 1."""
     return _record("area_preservation", tol - np.abs(ev.det - 1.0), tol,
-                   _factor_points(ev.pool, ev.params.n))
+                   ev.pool.reshape(-1, 2))
 
 
 def check_containment(ev, floor=0.0):
@@ -414,19 +407,19 @@ def check_band_margins(ev, floor=0.0):
 
 def check_midline(ev, tol=1e-12):
     """Diameter points land on ``P = c``; the sign of ``P - c`` follows ``p``."""
-    n, c = ev.params.n, ev.params.c
-    mfp = _factor_points(ev.mid, n)
-    P_d = _factor_points(ev.diam_images, n)[:, 1]
-    P_m = _factor_points(ev.mid_images, n)[:, 1]
+    c = ev.params.c
+    mfp = ev.mid.reshape(-1, 2)
+    P_d = ev.diam_images.reshape(-1, 2)[:, 1]
+    P_m = ev.mid_images.reshape(-1, 2)[:, 1]
     slack = np.concatenate(
         [tol - np.abs(P_d - c), (P_m - c) * np.sign(mfp[:, 1])])
     return _record("midline", slack, tol,
-                   np.concatenate([_factor_points(ev.diam, n), mfp]))
+                   np.concatenate([ev.diam.reshape(-1, 2), mfp]))
 
 
 def check_round_trip(ev, tol=1e-9):
     """``sigma_inv(sigma(x)) == x`` within ``tol`` per coordinate."""
-    fp = _factor_points(ev.pool, ev.params.n)[: len(ev.inverse)]
+    fp = ev.pool.reshape(-1, 2)[: len(ev.inverse)]
     err = np.max(np.abs(ev.inverse - fp), axis=1)
     return _record("round_trip", tol - err, tol, fp)
 

@@ -117,26 +117,33 @@ def test_scalar_and_array_shapes(p28):
     assert np.ndim(Q) == 0 and np.ndim(P) == 0
     Q, P = sigma(np.full(7, 0.1), np.full(7, 0.2), p28)
     assert Q.shape == (7,) and P.shape == (7,)
-    J = sigma_jacobian(np.full((3, 2), 0.1), np.full((3, 2), 0.2), p28)
-    assert J.shape == (3, 2, 2, 2)
+    Q, P, J = sigma_jacobian(np.full((3, 2), 0.1), np.full((3, 2), 0.2), p28)
+    assert Q.shape == (3, 2) and P.shape == (3, 2) and J.shape == (3, 2, 2, 2)
+    Q, P, J = sigma_jacobian(0.1, 0.2, p28)
+    assert np.ndim(Q) == 0 and np.ndim(P) == 0 and J.shape == (2, 2)
 
 
 @pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
 def test_results_do_not_depend_on_the_batch(n, r, rng):
     params = make_params(n, r)
     pts = ball_points(rng, make_params(1, r, params.epsilon), 200)
-    pts[:4] = [[0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3]]  # tau4 in {0, 1}
+    # the center, then four axis points with tau4 in {0, 1}
+    pts[:5] = [[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3]]
     q, p = pts[:, 0], pts[:, 1]
     Q, P = sigma(q, p, params)
-    J = sigma_jacobian(q, p, params)
-    one = [sigma(a, b, params) for a, b in zip(q, p)]
-    assert np.array_equal(Q, [x for x, _ in one])
-    assert np.array_equal(P, [y for _, y in one])
-    J_one = np.stack([sigma_jacobian(a, b, params) for a, b in zip(q, p)])
-    assert np.array_equal(J, J_one)
-    Q_pre, P_pre = sigma(q[:37], p[:37], params)
-    assert np.array_equal(Q_pre, Q[:37]) and np.array_equal(P_pre, P[:37])
-    assert np.array_equal(sigma_jacobian(q[:37], p[:37], params), J[:37])
+    Q_J, P_J, J = sigma_jacobian(q, p, params)
+    # sigma_jacobian's image is sigma's, bit for bit
+    assert np.array_equal(Q_J, Q) and np.array_equal(P_J, P)
+    one = np.array([sigma(a, b, params) for a, b in zip(q, p)])
+    assert np.array_equal(one, np.column_stack([Q, P]))
+    one_jac = [sigma_jacobian(a, b, params) for a, b in zip(q, p)]
+    assert np.array_equal([x[:2] for x in one_jac], one)
+    assert np.array_equal(np.stack([x[2] for x in one_jac]), J)
+    pre = sigma(q[:37], p[:37], params)
+    assert np.array_equal(pre, (Q[:37], P[:37]))
+    pre_jac = sigma_jacobian(q[:37], p[:37], params)
+    assert np.array_equal(pre_jac[:2], pre)
+    assert np.array_equal(pre_jac[2], J[:37])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +219,8 @@ def test_images_of_distinct_points_are_distinct(p28, rng):
 
 
 def test_jacobian_identity_at_center(p28):
-    J = sigma_jacobian(0.0, 0.0, p28)
+    Q, P, J = sigma_jacobian(0.0, 0.0, p28)
+    assert (Q, P) == (np.pi / 2.0, p28.c)
     assert np.allclose(J, np.eye(2), atol=1e-13)
 
 
@@ -222,7 +230,7 @@ def _det(J):
 
 def test_determinant_is_one_generic(p28, rng):
     pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 3000)
-    J = sigma_jacobian(pts[:, 0], pts[:, 1], p28)
+    _, _, J = sigma_jacobian(pts[:, 0], pts[:, 1], p28)
     assert np.max(np.abs(_det(J) - 1.0)) <= 1e-9
 
 
@@ -231,13 +239,13 @@ def test_determinant_is_one_adversarial(p28, rng):
     u = 10.0 ** rng.uniform(np.log10(5e-4), np.log10(2e-2), 2000)
     th = rng.uniform(0.0, 2.0 * np.pi, 2000)
     q, p = np.sqrt(u) * np.cos(th), np.sqrt(u) * np.sin(th)
-    J = sigma_jacobian(q, p, p28)
+    _, _, J = sigma_jacobian(q, p, p28)
     assert np.max(np.abs(_det(J) - 1.0)) <= 1e-9
     # exactly on the coordinate axes, and hard against the ball boundary
     s = np.sqrt(np.array([1e-8, 1e-4, 0.05, 0.3, 0.63, 0.64 * (1.0 - 1e-9)]))
     zero = np.zeros_like(s)
     for q, p in ((s, zero), (-s, zero), (zero, s), (zero, -s)):
-        J = sigma_jacobian(q, p, p28)
+        _, _, J = sigma_jacobian(q, p, p28)
         assert np.max(np.abs(_det(J) - 1.0)) <= 1e-9
 
 
@@ -245,7 +253,7 @@ def test_jacobian_matches_finite_differences(p28, rng):
     pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 300, shave=1e-3)
     keep = np.einsum("ij,ij->i", pts, pts) > 0.0025
     q, p = pts[keep, 0], pts[keep, 1]
-    J = sigma_jacobian(q, p, p28)
+    _, _, J = sigma_jacobian(q, p, p28)
     step = 1e-6
     fd = np.empty_like(J)
     Qp, Pp = sigma(q + step, p, p28)
@@ -262,7 +270,7 @@ def test_jacobian_matches_finite_differences(p28, rng):
 def test_midline_rows_of_jacobian(p28):
     # along the diameter the action is constant, so dP/dq vanishes
     q = np.linspace(-0.75, 0.75, 41)
-    J = sigma_jacobian(q, np.zeros_like(q), p28)
+    _, _, J = sigma_jacobian(q, np.zeros_like(q), p28)
     assert np.max(np.abs(J[:, 1, 0])) <= 1e-12
     assert np.all(J[:, 1, 1] > 0.0)  # crossing the midline raises the action
 
@@ -291,11 +299,13 @@ def test_enclosed_area_flags_bad_quadrature(p28, monkeypatch):
 # the product map and its margins
 
 
-def test_phi_is_componentwise_sigma(p28, rng):
-    pts = ball_points(rng, p28, 50)
-    img = phi(pts, p28)
-    for i in range(p28.n):
-        Q, P = sigma(pts[:, 2 * i], pts[:, 2 * i + 1], p28)
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_phi_is_componentwise_sigma(n, r, rng):
+    params = make_params(n, r)
+    pts = ball_points(rng, params, 50)
+    img = phi(pts, params)
+    for i in range(n):
+        Q, P = sigma(pts[:, 2 * i], pts[:, 2 * i + 1], params)
         assert np.array_equal(img[:, 2 * i], Q)
         assert np.array_equal(img[:, 2 * i + 1], P)
 
@@ -369,5 +379,6 @@ def test_random_point_invariants(ufrac, theta):
     assert abs(P - p28.c) <= u / 2.0 + p28.epsilon / 2.0 + 1e-12
     q2, p2 = sigma_inv(Q, P, p28)
     assert abs(q2 - q) <= 1e-9 and abs(p2 - p) <= 1e-9
-    J = sigma_jacobian(q, p, p28)
+    Q_J, P_J, J = sigma_jacobian(q, p, p28)
+    assert (Q_J, P_J) == (Q, P)
     assert abs(_det(J) - 1.0) <= 1e-9

@@ -111,12 +111,14 @@ def test_threaded_run_is_bit_identical(p28):
 
 def test_each_pool_is_mapped_once(p28):
     counts = {"sigma": 0, "sigma_jacobian": 0, "sigma_inv": 0}
+    largest = dict.fromkeys(counts, 0)
 
     def counting(name):
         fn = getattr(discmap, name)
 
         def wrapped(a, b, params):
             counts[name] += np.size(a)
+            largest[name] = max(largest[name], np.size(a))
             return fn(a, b, params)
 
         return wrapped
@@ -126,9 +128,14 @@ def test_each_pool_is_mapped_once(p28):
     n = p28.n
     main = 2000 + 200  # uniform and boundary-biased rows
     aux = 1000 + 1000  # diameter and midline rows
-    assert counts["sigma"] == n * (main + aux)
+    # the main pool's images come with its Jacobians, so sigma maps only
+    # the auxiliary pools
+    assert counts["sigma"] == n * aux
     assert counts["sigma_jacobian"] == n * main
     assert counts["sigma_inv"] == min(ROUND_TRIP_LIMIT, n * main)
+    # one factor column of one auxiliary pool per sigma call: flattening
+    # those pools into factor points raised the benchmark's peak memory
+    assert largest["sigma"] <= 1000
 
 
 # ---------------------------------------------------------------------------
