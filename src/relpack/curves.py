@@ -237,6 +237,14 @@ class _CurveEngine:
         g_end = self.area_max / (4.0 * h_end * a_target)
         if g_end <= area_factor(2.0):
             self.m_end = 2.0
+        elif g_end >= 1.0:
+            # area factors stay below 1 for every exponent
+            raise ScheduleInfeasible(
+                f"outermost curve needs area factor {g_end:.9f} >= 1, which no "
+                f"exponent reaches: the height blend leaves the outermost "
+                f"half-height short of the band cap by more than the collar "
+                f"slack; epsilon={self.eps!r} is too small"
+            )
         elif g_end >= area_factor(_M_MAX):
             raise ScheduleInfeasible(
                 f"outermost curve needs area factor {g_end:.9f}, beyond the "
@@ -314,13 +322,14 @@ class _CurveEngine:
 
     # -- curve geometry -----------------------------------------------------
 
-    def radius_sq(self, A, alpha, order=0):
+    def radius_sq(self, A, alpha, order=0, angle=False):
         """Squared distance ``V`` from the center at quarter angle ``alpha``.
 
         ``alpha`` is measured in the first quadrant of centered coordinates;
         the full curve follows by reflecting in both axes.  Returns ``V`` at
         ``order=0``, ``(V, V_A)`` at ``order=1`` (``V_A > 0`` iff the curves
-        are nested) and ``(V, V_A, V_AA, V_alpha)`` at ``order=2``.
+        are nested) and ``(V, V_A, V_AA)`` at ``order=2``; ``angle=True``
+        appends ``V_alpha``.
         """
         sched = self.schedule(A, order)
         h, a, m = sched[:3]
@@ -331,36 +340,37 @@ class _CurveEngine:
         l1, l2 = m * el1, m * el2
         L = np.logaddexp(l1, l2)
         V = np.exp(-(2.0 / m) * L)
-        if order == 0:
-            return V
-        # V = exp(-(2/m) * L) with L = log(exp(l1) + exp(l2)); along A,
-        # L' = sum w_i l_i' and L'' = sum w_i l_i'' + w1 w2 (l1' - l2')**2
-        hp, ap, mp = sched[3:6]
-        w1 = np.exp(l1 - L)
-        w2 = np.exp(l2 - L)
-        l1d = mp * el1 - m * (ap / a)
-        l2d = mp * el2 - m * (hp / h)
-        Ld = _mprod(w1, l1d) + _mprod(w2, l2d)
-        N_A = (2.0 / m**2) * mp * L - (2.0 / m) * Ld
-        V_A = V * N_A
-        if order == 1:
-            return V, V_A
-        hpp, app, mpp = sched[6:]
-        l1dd = mpp * el1 - 2.0 * mp * (ap / a) - m * (app / a - (ap / a) ** 2)
-        l2dd = mpp * el2 - 2.0 * mp * (hp / h) - m * (hpp / h - (hp / h) ** 2)
-        Ldd = _mprod(w1, l1dd) + _mprod(w2, l2dd) + _mprod(w1 * w2, (l1d - l2d) ** 2)
-        N_AA = (
-            (-4.0 / m**3) * mp**2 * L
-            + (2.0 / m**2) * mpp * L
-            + (4.0 / m**2) * mp * Ld
-            - (2.0 / m) * Ldd
-        )
-        V_AA = V * (N_A**2 + N_AA)
-        # angle derivative, assembled in log space to survive the axes
-        w2cot = np.exp((m - 1.0) * lnsa - m * np.log(h) + lnca - L)
-        w1tan = np.exp((m - 1.0) * lnca - m * np.log(a) + lnsa - L)
-        V_al = V * (-2.0) * (w2cot - w1tan)
-        return V, V_A, V_AA, V_al
+        jet = (V,)
+        if order >= 1:
+            # V = exp(-(2/m) * L) with L = log(exp(l1) + exp(l2)); along A,
+            # L' = sum w_i l_i' and L'' = sum w_i l_i'' + w1 w2 (l1' - l2')**2
+            hp, ap, mp = sched[3:6]
+            w1 = np.exp(l1 - L)
+            w2 = np.exp(l2 - L)
+            l1d = mp * el1 - m * (ap / a)
+            l2d = mp * el2 - m * (hp / h)
+            Ld = _mprod(w1, l1d) + _mprod(w2, l2d)
+            N_A = (2.0 / m**2) * mp * L - (2.0 / m) * Ld
+            jet += (V * N_A,)
+        if order == 2:
+            hpp, app, mpp = sched[6:]
+            l1dd = mpp * el1 - 2.0 * mp * (ap / a) - m * (app / a - (ap / a) ** 2)
+            l2dd = mpp * el2 - 2.0 * mp * (hp / h) - m * (hpp / h - (hp / h) ** 2)
+            Ldd = (_mprod(w1, l1dd) + _mprod(w2, l2dd)
+                   + _mprod(w1 * w2, (l1d - l2d) ** 2))
+            N_AA = (
+                (-4.0 / m**3) * mp**2 * L
+                + (2.0 / m**2) * mpp * L
+                + (4.0 / m**2) * mp * Ld
+                - (2.0 / m) * Ldd
+            )
+            jet += (V * (N_A**2 + N_AA),)
+        if angle:
+            # assembled in log space to survive the axes
+            w2cot = np.exp((m - 1.0) * lnsa - m * np.log(h) + lnca - L)
+            w1tan = np.exp((m - 1.0) * lnca - m * np.log(a) + lnsa - L)
+            jet += (V * (-2.0) * (w2cot - w1tan),)
+        return jet if len(jet) > 1 else V
 
     # -- warped quadrature contour -------------------------------------------
 
@@ -411,12 +421,12 @@ class _CurveEngine:
         al = np.clip(self.warp_alpha(s, wp_col), 0.0, np.pi / 2.0)
         jet = self.radius_sq(A[:, None], al, order + 1)
         dal = self.warp_dalpha(s, wp_col)
-        one = np.ones_like(A)
         b = cheb_antideriv(cheb_coeffs(jet[1] * dal))
+        # the series at alpha = pi/2, i.e. s = 1, where every T_k is 1
         if order == 0:
-            return b, clenshaw(b, one), wp
+            return b, b.sum(-1), wp
         bA = cheb_antideriv(cheb_coeffs(jet[2] * dal))
-        return b, clenshaw(b, one), wp, bA, clenshaw(bA, one)
+        return b, b.sum(-1), wp, bA, bA.sum(-1)
 
     def solve_angle(self, b, total, wp, tau4):
         """Invert the quarter sweep: find alpha with Phi(alpha)/total = tau4.

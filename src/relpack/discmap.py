@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 _BALL_EDGE_TOL = 1e-14
+# Area solve of `sigma_inv` (see `_solve_area`): bracketing grid size and
+# lowest area, Newton step cap, and the log-area step that ends a row.
+_AREA_GRID = 32
+_AREA_FLOOR = 1e-18
+_AREA_STEPS = 24
+_LOG_AREA_TOL = 1e-10
 
 
 def _flatten(*arrays):
@@ -74,7 +80,7 @@ def _curve_eval(eng, A, fold, order=0):
     tau4, _, sq, sp = fold
     b, total, wp, *sweep_A = eng.build_sweep(A, order)
     alpha, s = eng.solve_angle(b, total, wp, tau4)
-    jet = eng.radius_sq(A, alpha, 2 * order)
+    jet = eng.radius_sq(A, alpha, order, angle=order > 0)
     R = np.sqrt(jet[0] if order else jet)
     ca, sa = np.cos(alpha), np.sin(alpha)
     Q = np.pi / 2.0 + sq * R * ca
@@ -83,7 +89,7 @@ def _curve_eval(eng, A, fold, order=0):
         return Q, P
     # implicit differentiation of  Phi(A, alpha) = tau4 * total(A)
     bA, totalA = sweep_A
-    V_A, _, V_al = jet[1:]
+    V_A, V_al = jet[1:]
     al_A = (tau4 * totalA - clenshaw(bA, s)) / V_A
     al_t = total / V_A
     Q_A = sq * (ca * (V_A + V_al * al_A) / (2.0 * R) - R * sa * al_A)
@@ -167,8 +173,69 @@ def level_curve_point(A, phi_frac, params: PackingParams):
     return _restore(Q, shape), _restore(P, shape)
 
 
+def _solve_area(eng, rho2, alpha, A_lim, require):
+    """Area ``A`` of the level curve through each point: ``V(A, alpha) = rho2``.
+
+    One `radius_sq` call on a fixed grid of log-spaced areas, whose top node
+    is ``A_lim`` itself, rejects points on or outside the outermost curve
+    and brackets every other root between adjacent nodes (below the grid,
+    where the curves are round and ``V`` is proportional to ``A``, the
+    bracket is extrapolated with slope one).  A secant start in ``g = log V
+    - log rho2`` is refined by Newton steps in ``x = log A``; a step that
+    leaves the bracket is replaced by bisection.  A row freezes once a step
+    accepted inside its bracket is at most ``_LOG_AREA_TOL`` or it hits
+    ``g == 0``, so its iterates depend on that row alone and the result
+    does not depend on the batch.  The center ``rho2 == 0`` is solved for
+    the bottom node's radius; the caller sends it back to the center.
+    """
+    xg = np.linspace(np.log(_AREA_FLOOR), np.log(A_lim), _AREA_GRID)
+    Ag = np.exp(xg)
+    Ag[-1] = A_lim  # exp(log(A_lim)) may be an ulp off
+    V = eng.radius_sq(Ag, alpha[:, None])
+    require(rho2 < V[:, -1])
+    rho2 = np.where(rho2 > 0.0, rho2, V[:, 0])
+    lr = np.log(rho2)
+    k = np.sum(V < rho2[:, None], axis=-1)  # nodes below the point
+    km = np.maximum(k - 1, 0)
+    g_hi = np.log(np.take_along_axis(V, k[:, None], axis=-1)[:, 0]) - lr
+    g_lo = np.log(np.take_along_axis(V, km[:, None], axis=-1)[:, 0]) - lr
+    del V
+    hi = xg[k]
+    lo = np.where(k > 0, xg[km], hi - g_hi - 1.0)
+    g_lo = np.where(k > 0, g_lo, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+    x = np.where(np.isfinite(x), x, 0.5 * (lo + hi))
+    rows = np.arange(x.size)
+    for _ in range(_AREA_STEPS):
+        if rows.size == 0:
+            break
+        xr = x[rows]
+        A = np.exp(xr)
+        V, V_A = eng.radius_sq(A, alpha[rows], 1)
+        g = np.log(V) - lr[rows]
+        lo_r = np.where(g < 0.0, xr, lo[rows])
+        hi_r = np.where(g > 0.0, xr, hi[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g * V / (A * V_A)
+        x_new = xr - step
+        # inclusive, so that a converged iterate sitting on an end of its
+        # bracket is kept; an outside step is bisected, not clamped, which
+        # would cycle between the ends of a cell where V grows steeply
+        ok = (x_new >= lo_r) & (x_new <= hi_r)
+        x[rows] = np.where(g == 0.0, xr, np.where(ok, x_new, 0.5 * (lo_r + hi_r)))
+        lo[rows], hi[rows] = lo_r, hi_r
+        rows = rows[~((g == 0.0) | (ok & (np.abs(step) <= _LOG_AREA_TOL)))]
+    return np.minimum(np.exp(x), A_lim)
+
+
 def sigma_inv(Q, P, params: PackingParams):
     """Invert `sigma` on the image of the open disc.
+
+    The level curve through ``(Q, P)`` is found by solving for its area
+    along the ray from the center (see `_solve_area`: a fixed log-area grid
+    brackets the root, Newton steps in ``log A`` finish it), and the polar
+    angle is the sweep fraction of that curve at the point's quarter angle.
 
     Raises
     ------
@@ -195,23 +262,7 @@ def sigma_inv(Q, P, params: PackingParams):
     require(np.isfinite(rho2))
     alpha_q = np.arctan2(np.abs(up), np.abs(xi))
     A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
-    interior = rho2 > 0.0
-    rho2_safe = np.where(interior, rho2, eng.radius_sq(A_lim * 1e-8, alpha_q))
-    require(rho2_safe < eng.radius_sq(np.full_like(rho2, A_lim), alpha_q))
-    # solve radius_sq(A, alpha_q) = rho2 for A: bisection in log A, then
-    # a few Newton steps to machine accuracy
-    lo = np.full_like(rho2, np.log(1e-18))
-    hi = np.full_like(rho2, np.log(A_lim))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        val = eng.radius_sq(np.exp(mid), alpha_q) - rho2_safe
-        hi = np.where(val >= 0.0, mid, hi)
-        lo = np.where(val < 0.0, mid, lo)
-    A = np.exp(0.5 * (lo + hi))
-    for _ in range(4):
-        V, VA = eng.radius_sq(A, alpha_q, 1)
-        A = A - (V - rho2_safe) / VA
-    A = np.clip(A, 0.0, A_lim)
+    A = _solve_area(eng, rho2, alpha_q, A_lim, require)
     b, total, wp = eng.build_sweep(A)
     s = np.clip(eng.warp_s(alpha_q, wp), -1.0, 1.0)
     phi_q = clenshaw(b, s) / (4.0 * total)
@@ -221,6 +272,7 @@ def sigma_inv(Q, P, params: PackingParams):
         np.where(xi >= 0.0, phi_q, 0.5 - phi_q),
         np.where(xi < 0.0, 0.5 + phi_q, 1.0 - phi_q),
     )
+    interior = rho2 > 0.0
     u = A / np.pi
     th = 2.0 * np.pi * t
     q = np.where(interior, np.sqrt(u) * np.cos(th), 0.0)

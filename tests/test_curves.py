@@ -153,11 +153,22 @@ def test_small_curves_are_round(p28):
 
 
 def test_infeasible_collar_raises():
-    # a very thin collar forces the outermost curve to need nearly the whole
-    # rectangle corner-to-corner, beyond the exponent cap
+    # a very thin collar forces the outermost curve to fill more than its
+    # bounding box, which no exponent can reach
     p = make_params(2, 0.8, epsilon=1e-8)
     with pytest.raises(ScheduleInfeasible):
         shape_schedule(1.0, p)
+
+
+def test_infeasible_near_bound_blames_the_height_blend():
+    # an area factor of 1.00076 is needed here: the loss of the height blend
+    # at the outermost curve exceeds the collar slack, and the exponent cap
+    # plays no part
+    p = make_params(2, np.sqrt(2.0 / 3.0) * (1.0 - 1e-4))
+    with pytest.raises(ScheduleInfeasible) as info:
+        shape_schedule(1.0, p)
+    assert "height blend" in str(info.value)
+    assert "exponent cap" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +223,7 @@ def test_radius_jet_matches_fd(p28):
     eng = _engine(p28)
     A = np.array([0.05, 0.6, 1.4, 1.9])
     alpha = np.array([0.15, 0.7, 1.1, 1.45])
-    V, V_A, V_AA, V_al = eng.radius_sq(A, alpha, 2)
+    V, V_A, V_AA, V_al = eng.radius_sq(A, alpha, 2, angle=True)
     assert np.allclose(V, eng.radius_sq(A, alpha), rtol=1e-13)
     hA = 1e-6
     fdA = _central(lambda x: eng.radius_sq(x, alpha), A, hA)
@@ -242,9 +253,17 @@ def test_jets_share_leading_outputs_bitwise(n, r):
             assert np.array_equal(x, y)
     V0 = eng.radius_sq(A, alpha)
     V1, VA1 = eng.radius_sq(A, alpha, 1)
-    V2, VA2, _, _ = eng.radius_sq(A, alpha, 2)
+    V2, VA2, VAA2 = eng.radius_sq(A, alpha, 2)
     assert np.array_equal(V0, V1) and np.array_equal(V0, V2)
     assert np.array_equal(VA1, VA2)
+    # the angle derivative appends, and is the same at every order
+    V3, Val3 = eng.radius_sq(A, alpha, angle=True)
+    V4, VA4, Val4 = eng.radius_sq(A, alpha, 1, angle=True)
+    V5, VA5, VAA5, Val5 = eng.radius_sq(A, alpha, 2, angle=True)
+    assert all(np.array_equal(V0, x) for x in (V3, V4, V5))
+    assert np.array_equal(VA1, VA4) and np.array_equal(VA1, VA5)
+    assert np.array_equal(VAA2, VAA5)
+    assert np.array_equal(Val3, Val4) and np.array_equal(Val3, Val5)
     sweep0 = eng.build_sweep(A)
     sweep1 = eng.build_sweep(A, 1)
     assert len(sweep0) == 3 and len(sweep1) == 5

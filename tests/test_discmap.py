@@ -144,6 +144,12 @@ def test_results_do_not_depend_on_the_batch(n, r, rng):
     pre_jac = sigma_jacobian(q[:37], p[:37], params)
     assert np.array_equal(pre_jac[:2], pre)
     assert np.array_equal(pre_jac[2], J[:37])
+    # and so is the inverse, the center and the axis points included
+    q2, p2 = sigma_inv(Q, P, params)
+    one_inv = np.array([sigma_inv(a, b, params) for a, b in zip(Q, P)])
+    assert np.array_equal(one_inv, np.column_stack([q2, p2]))
+    assert np.array_equal(sigma_inv(Q[:37], P[:37], params), (q2[:37], p2[:37]))
+    assert (q2[0], p2[0]) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +200,47 @@ def test_round_trip_random(p28, rng):
     q2, p2 = sigma_inv(Q, P, p28)
     assert np.max(np.abs(q2 - q)) <= 1e-10
     assert np.max(np.abs(p2 - p)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (3, 0.7), (4, 0.63), (6, 0.534)])
+def test_round_trip_adversarial(n, r):
+    # hard against the ball boundary, on the axes, and within 1e-3 of them,
+    # where the level curves are most eccentric and the area solve steepest
+    params = make_params(n, r)
+    quarter = np.pi / 2.0 * np.arange(4)
+    theta = np.concatenate(
+        [quarter + d for d in (0.0, 1e-3, -1e-3, 1e-7, -1e-7)]
+        + [np.linspace(0.0, 2.0 * np.pi, 41)]
+    )
+    rad = r * np.array([1.0 - 1e-12, 1.0 - 1e-6, 0.5, 1e-3, 1e-8])
+    rad, theta = (x.ravel() for x in np.meshgrid(rad, theta))
+    q, p = rad * np.cos(theta), rad * np.sin(theta)
+    Q, P = sigma(q, p, params)
+    q2, p2 = sigma_inv(Q, P, params)
+    assert np.max(np.abs(q2 - q)) <= 1e-10
+    assert np.max(np.abs(p2 - p)) <= 1e-10
+
+
+def test_inverse_radius_passes(p28, monkeypatch, rng):
+    # a grid pass brackets the area, Newton steps finish it, and the sweep
+    # build makes one more: a handful of radius passes, not a bisection
+    eng = discmap._engine(p28)
+    pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 64)
+    Q, P = sigma(pts[:, 0], pts[:, 1], p28)
+    calls = [0]
+    radius_sq = eng.radius_sq
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return radius_sq(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "radius_sq", counting)
+    per_point = []
+    for a, b in zip(Q, P):
+        calls[0] = 0
+        sigma_inv(a, b, p28)
+        per_point.append(calls[0])
+    assert np.median(per_point) <= 6
 
 
 def test_inverse_rejects_points_off_image(p28):
