@@ -51,6 +51,9 @@ _M_MAX = 512.0
 # Newton steps after the node-bracket secant start of the sweep-angle solve;
 # three leave residuals up to 9e-12 at n=6, four reach roundoff.
 _NEWTON_STEPS = 4
+# Grid values per row block of the sweep build and the node bracket: small
+# enough that a block's temporaries stay in cache.
+_SWEEP_ELEMS = 2**16
 
 
 def area_factor(m):
@@ -378,7 +381,7 @@ class _CurveEngine:
         """Parameters of the sinh map packing nodes near the curve corner."""
         h, a, m = self.schedule(A)
         alpha_c = np.arctan2(h, a)
-        w = np.clip(3.0 * np.sin(alpha_c) * np.cos(alpha_c) / m, 1e-4, 0.5)
+        w = np.clip(3.0 * np.sin(alpha_c) * np.cos(alpha_c) / m, 1e-10, 0.5)
         beta = 0.5 * (
             np.arcsinh((np.pi / 2.0 - alpha_c) / w) + np.arcsinh(alpha_c / w)
         )
@@ -402,6 +405,11 @@ class _CurveEngine:
 
     # -- area sweep ----------------------------------------------------------
 
+    def row_blocks(self, N):
+        """Fixed slices of ``N`` rows, each about `_SWEEP_ELEMS` node values."""
+        rows = max(1, _SWEEP_ELEMS // (self.ncheb + 1))
+        return [slice(i, i + rows) for i in range(0, N, rows)]
+
     def build_sweep(self, A, order=0):
         """Antiderivative of the angular area-sweep density for each A.
 
@@ -413,19 +421,26 @@ class _CurveEngine:
         error cancels from the sweep fraction.  ``order=1`` appends
         ``(bA, totalA)``, the same integral of ``d2V/dA2`` over the same
         warped contour (needed by the closed-form Jacobian).
+
+        The node grid is evaluated in `row_blocks`, so beyond the returned
+        ``(N, ncheb+2)`` coefficients the temporaries are O(`_SWEEP_ELEMS`).
         """
         A = np.asarray(A, dtype=float)
         wp = self.warp_params(A)
         s = self.xnodes[None, :]
-        wp_col = tuple(x[:, None] for x in wp)
-        al = np.clip(self.warp_alpha(s, wp_col), 0.0, np.pi / 2.0)
-        jet = self.radius_sq(A[:, None], al, order + 1)
-        dal = self.warp_dalpha(s, wp_col)
-        b = cheb_antideriv(cheb_coeffs(jet[1] * dal))
+        out = [np.empty(A.shape + (self.ncheb + 2,)) for _ in range(order + 1)]
+        for sl in self.row_blocks(A.size):
+            wp_col = tuple(x[sl, None] for x in wp)
+            al = np.clip(self.warp_alpha(s, wp_col), 0.0, np.pi / 2.0)
+            jet = self.radius_sq(A[sl, None], al, order + 1)
+            dal = self.warp_dalpha(s, wp_col)
+            for k, b in enumerate(out, 1):
+                b[sl] = cheb_antideriv(cheb_coeffs(jet[k] * dal))
         # the series at alpha = pi/2, i.e. s = 1, where every T_k is 1
+        b = out[0]
         if order == 0:
             return b, b.sum(-1), wp
-        bA = cheb_antideriv(cheb_coeffs(jet[2] * dal))
+        bA = out[1]
         return b, b.sum(-1), wp, bA, bA.sum(-1)
 
     def solve_angle(self, b, total, wp, tau4):
@@ -433,20 +448,23 @@ class _CurveEngine:
 
         The sweep's values on the Lobatto nodes increase with ``s`` (``V_A >
         0`` and the warp is increasing), so counting the nodes below each
-        target brackets its root between two adjacent nodes.  A secant start
+        target brackets its root between two adjacent nodes; the node values
+        are built and searched one of `row_blocks` at a time.  A secant start
         in that bracket is finished by a fixed number of safeguarded Newton
         steps in the warped variable, so a point's result does not depend
         on its batch.  Exact hits are latched so a converged iterate is
         never displaced by a stale bracket.
         """
         target = tau4 * total
-        F = antideriv_nodes(b)  # descending in j, like the nodes
-        M = F.shape[-1] - 1
-        below = np.sum(F < target[..., None], axis=-1)
-        j = M + 1 - np.clip(below, 1, M)  # first node below the target
-        f_lo = np.take_along_axis(F, j[..., None], axis=-1)[..., 0]
-        f_hi = np.take_along_axis(F, j[..., None] - 1, axis=-1)[..., 0]
-        del F
+        M = b.shape[-1] - 2
+        j = np.empty(target.shape, dtype=np.intp)
+        f_lo, f_hi = np.empty_like(target), np.empty_like(target)
+        for sl in self.row_blocks(target.size):
+            F = antideriv_nodes(b[sl])  # descending in j, like the nodes
+            below = np.sum(F < target[sl, None], axis=-1)
+            j[sl] = jb = M + 1 - np.clip(below, 1, M)  # first node below
+            f_lo[sl] = np.take_along_axis(F, jb[:, None], axis=-1)[:, 0]
+            f_hi[sl] = np.take_along_axis(F, jb[:, None] - 1, axis=-1)[:, 0]
         lo, hi = self.xnodes[j], self.xnodes[j - 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             s = lo + (target - f_lo) * ((hi - lo) / (f_hi - f_lo))

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _BALL_EDGE_TOL = 1e-14
+# Points per block: every batch is mapped in fixed slices of this many
+# points, so peak memory does not grow with the batch.
+_BLOCK = 16384
 # Area solve of `sigma_inv` (see `_solve_area`): bracketing grid size and
 # lowest area, Newton step cap, and the log-area step that ends a row.
 _AREA_GRID = 32
@@ -47,6 +50,23 @@ def _flatten(*arrays):
     bc = np.broadcast_arrays(*[np.asarray(x, dtype=float) for x in arrays])
     shape = bc[0].shape
     return [b.reshape(-1).copy() for b in bc], shape
+
+
+def _blocked(fn, arrays, mapper=map):
+    """Apply ``fn`` to fixed `_BLOCK`-row slices of ``arrays``; concatenate.
+
+    Block boundaries depend on the row count alone and ``fn`` must act on
+    each row alone, so the result is the same for any ``mapper`` (such as
+    a thread pool's ``map``) and bitwise that of one unblocked call.
+    """
+
+    def one(i):
+        return fn(*[a[i : i + _BLOCK] for a in arrays])
+
+    parts = list(mapper(one, range(0, max(len(arrays[0]), 1), _BLOCK)))
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.concatenate, zip(*parts)))
+    return np.concatenate(parts)
 
 
 def _restore(arr, shape):
@@ -75,9 +95,14 @@ def _curve_eval(eng, A, fold, order=0):
     """Point ``(Q, P)`` of the level curve at area ``A`` and folded fraction.
 
     ``order=1`` appends ``(Q_A, Q_t, P_A, P_t)``, the derivatives in ``A``
-    and in ``tau4``.
+    and in ``tau4``.  Evaluated in `_blocked` slices.
     """
     tau4, _, sq, sp = fold
+    return _blocked(lambda *a: _curve_block(eng, *a, order), [A, tau4, sq, sp])
+
+
+def _curve_block(eng, A, tau4, sq, sp, order):
+    """`_curve_eval` on one block of points."""
     b, total, wp, *sweep_A = eng.build_sweep(A, order)
     alpha, s = eng.solve_angle(b, total, wp, tau4)
     jet = eng.radius_sq(A, alpha, order, angle=order > 0)
@@ -149,7 +174,9 @@ def sigma(q, p, params: PackingParams):
     Notes
     -----
     The center maps to the curve family's center ``(pi/2, c)``.  Points on
-    the diameter ``p = 0`` return ``P == c`` exactly.
+    the diameter ``p = 0`` return ``P == c`` exactly.  Points are mapped in
+    fixed blocks of `_BLOCK`, so beyond the O(N) inputs and outputs peak
+    memory is O(`_BLOCK` * ncheb) whatever the batch size.
     """
     _, _, shape, _, fold, interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
@@ -236,6 +263,8 @@ def sigma_inv(Q, P, params: PackingParams):
     along the ray from the center (see `_solve_area`: a fixed log-area grid
     brackets the root, Newton steps in ``log A`` finish it), and the polar
     angle is the sweep fraction of that curve at the point's quarter angle.
+    Like `sigma`, it works on fixed blocks of `_BLOCK` points, so its peak
+    memory is O(`_BLOCK` * ncheb) beyond the inputs and outputs.
 
     Raises
     ------
@@ -245,23 +274,29 @@ def sigma_inv(Q, P, params: PackingParams):
         the rectangle.
     """
     (Qf, Pf), shape = _flatten(Q, P)
+    eng = _engine(params)
+    A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
+    q, p = _blocked(lambda Qb, Pb: _inverse_block(eng, Qb, Pb, A_lim), [Qf, Pf])
+    return _restore(q, shape), _restore(p, shape)
+
+
+def _inverse_block(eng, Q, P, A_lim):
+    """`sigma_inv` on one block of flat points; errors name the input point."""
 
     def require(ok):
         if not np.all(ok):
             i = np.argmin(ok)
             raise NotInImage(
-                f"point (Q, P) = ({float(Qf[i])!r}, {float(Pf[i])!r}) is not "
+                f"point (Q, P) = ({float(Q[i])!r}, {float(P[i])!r}) is not "
                 "inside the image of the open ball"
             )
 
-    eng = _engine(params)
-    xi = Qf - np.pi / 2.0
-    up = Pf - eng.c
+    xi = Q - np.pi / 2.0
+    up = P - eng.c
     rho2 = xi * xi + up * up
     # a non-finite point must not reach radius_sq
     require(np.isfinite(rho2))
     alpha_q = np.arctan2(np.abs(up), np.abs(xi))
-    A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
     A = _solve_area(eng, rho2, alpha_q, A_lim, require)
     b, total, wp = eng.build_sweep(A)
     s = np.clip(eng.warp_s(alpha_q, wp), -1.0, 1.0)
@@ -277,7 +312,7 @@ def sigma_inv(Q, P, params: PackingParams):
     th = 2.0 * np.pi * t
     q = np.where(interior, np.sqrt(u) * np.cos(th), 0.0)
     p = np.where(interior, np.sqrt(u) * np.sin(th), 0.0)
-    return _restore(q, shape), _restore(p, shape)
+    return q, p
 
 
 def sigma_jacobian(q, p, params: PackingParams):

@@ -57,7 +57,6 @@ DEFAULT_TOLERANCES = {
     "sharpness_identity": 1e-15,
 }
 
-_CHUNK = 16384
 ROUND_TRIP_LIMIT = 30000  # main-pool factor points sent back through sigma_inv
 
 
@@ -170,26 +169,16 @@ def resolve_threads(threads=None) -> int:
 
 
 def _run_chunks(fn, arrays, nthreads):
-    """Apply ``fn`` to fixed-size row chunks; concatenate in input order.
+    """Apply ``fn`` to the fixed row blocks of `discmap` on ``nthreads``.
 
-    Chunk boundaries do not depend on the worker count, and callers only
+    Block boundaries do not depend on the worker count, and callers only
     ever reduce the result with max/min, so the outcome is independent of
     threading.
     """
-    N = arrays[0].shape[0]
-    slices = [slice(i, min(i + _CHUNK, N)) for i in range(0, N, _CHUNK)]
-
-    def one(sl):
-        return fn(*[a[sl] for a in arrays])
-
-    if nthreads <= 1 or len(slices) == 1:
-        parts = [one(sl) for sl in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            parts = list(ex.map(one, slices))
-    if isinstance(parts[0], tuple):
-        return tuple(map(np.concatenate, zip(*parts)))
-    return np.concatenate(parts)
+    if nthreads <= 1:
+        return discmap._blocked(fn, arrays)
+    with ThreadPoolExecutor(max_workers=nthreads) as ex:
+        return discmap._blocked(fn, arrays, ex.map)
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +268,6 @@ def sample(spec: SampleSpec, params: PackingParams):
     raise ValueError(f"unknown sampling strategy {spec.strategy!r}")
 
 
-def _product_images(pool, params, maps, nthreads):
-    """Apply ``sigma`` to every factor of every pooled point."""
-
-    def fn(block):
-        out = np.empty_like(block)
-        for i in range(0, 2 * params.n, 2):
-            out[:, i], out[:, i + 1] = maps.sigma(block[:, i], block[:, i + 1],
-                                                  params)
-        return out
-
-    return _run_chunks(fn, [pool], nthreads)
-
-
 # ---------------------------------------------------------------------------
 # shared evaluation
 # ---------------------------------------------------------------------------
@@ -321,10 +297,11 @@ class _Evaluation:
 def _evaluate(params, pool, diam, mid, maps, nthreads):
     """Pass each pool through ``maps`` once and collect the results.
 
-    The main pool's factor points go through ``sigma_jacobian`` once, and
-    their images back through ``sigma_inv``; ``sigma`` maps the diameter
-    and midline pools.  Each chunk reduces its Jacobians to determinants,
-    so no (N, 2, 2) array outlives its chunk.
+    Every pool is mapped as flat factor points.  The main pool's go
+    through ``sigma_jacobian`` once, and their images back through
+    ``sigma_inv``; ``sigma`` maps the diameter and midline pools.  Each
+    chunk reduces its Jacobians to determinants, so no (N, 2, 2) array
+    outlives its chunk.
     """
     def forward(q, p):
         Q, P, J = maps.sigma_jacobian(q, p, params)
@@ -332,6 +309,12 @@ def _evaluate(params, pool, diam, mid, maps, nthreads):
 
     def inverse(Q, P):
         return np.column_stack(maps.sigma_inv(Q, P, params))
+
+    def images(aux):
+        fp = aux.reshape(-1, 2)
+        Q, P = _run_chunks(lambda q, p: maps.sigma(q, p, params),
+                           [fp[:, 0], fp[:, 1]], nthreads)
+        return np.column_stack([Q, P]).reshape(aux.shape)
 
     fp = pool.reshape(-1, 2)
     Q, P, det = _run_chunks(forward, [fp[:, 0], fp[:, 1]], nthreads)
@@ -343,9 +326,9 @@ def _evaluate(params, pool, diam, mid, maps, nthreads):
         det=det,
         inverse=_run_chunks(inverse, [Q[:k], P[:k]], nthreads),
         diam=diam,
-        diam_images=_product_images(diam, params, maps, nthreads),
+        diam_images=images(diam),
         mid=mid,
-        mid_images=_product_images(mid, params, maps, nthreads),
+        mid_images=images(mid),
     )
 
 

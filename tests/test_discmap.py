@@ -1,5 +1,7 @@
 """The area-preserving factor map: values, Jacobian, inverse, and areas."""
 
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +21,7 @@ from relpack import (
     sigma_inv,
     sigma_jacobian,
 )
-from relpack import discmap
+from relpack import curves, discmap
 
 from conftest import ball_points
 
@@ -150,6 +152,46 @@ def test_results_do_not_depend_on_the_batch(n, r, rng):
     assert np.array_equal(one_inv, np.column_stack([q2, p2]))
     assert np.array_equal(sigma_inv(Q[:37], P[:37], params), (q2[:37], p2[:37]))
     assert (q2[0], p2[0]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_blocks_do_not_change_results(n, r, rng, monkeypatch):
+    params = make_params(n, r)
+    pts = ball_points(rng, make_params(1, r, params.epsilon), 300)
+    pts[:5] = [[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3]]
+    q, p = pts[:, 0], pts[:, 1]
+    Q, P = sigma(q, p, params)
+    jac = sigma_jacobian(q, p, params)
+    inv = sigma_inv(Q, P, params)
+    # 37-point outer blocks, 3-row inner blocks: both levels cross many
+    # boundaries, and the last block of each is short
+    ncheb = curves._engine(params).ncheb
+    monkeypatch.setattr(discmap, "_BLOCK", 37)
+    monkeypatch.setattr(curves, "_SWEEP_ELEMS", 3 * (ncheb + 1))
+    assert np.array_equal(sigma(q, p, params), (Q, P))
+    blocked = sigma_jacobian(q, p, params)
+    assert all(np.array_equal(x, y) for x, y in zip(blocked, jac))
+    assert np.array_equal(sigma_inv(Q, P, params), inv)
+    # an error from a later block names the input point that caused it
+    P_bad = P.copy()
+    P_bad[250] = params.c + 1.0  # above every level curve
+    named = re.escape(f"({float(Q[250])!r}, {float(P_bad[250])!r})")
+    with pytest.raises(NotInImage, match=named):
+        sigma_inv(Q, P_bad, params)
+
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sigma_memory_is_bounded(p28, rng):
+    pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 100000)
+    assert _peak_mib(sigma, pts[:, 0], pts[:, 1], p28) <= 256.0
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +397,11 @@ def test_phi_is_componentwise_sigma(n, r, rng):
         Q, P = sigma(pts[:, 2 * i], pts[:, 2 * i + 1], params)
         assert np.array_equal(img[:, 2 * i], Q)
         assert np.array_equal(img[:, 2 * i + 1], P)
+
+
+def test_phi_memory_is_bounded(rng):
+    params = make_params(6, 0.534)
+    assert _peak_mib(phi, ball_points(rng, params, 2000), params) <= 200.0
 
 
 def test_phi_rejects_outside_ball(p28):
