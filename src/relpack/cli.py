@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 import numpy as np
@@ -35,6 +36,7 @@ from .verify import SampleSpec, run_all
 __all__ = ["main"]
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relpack",

@@ -48,9 +48,10 @@ __all__ = [
 # with the band cap; also the largest exponent the schedule may request.
 _BLEND_K = 6.0
 _M_MAX = 512.0
-# Newton steps after the node-bracket secant start of the sweep-angle solve;
-# three leave residuals up to 9e-12 at n=6, four reach roundoff.
-_NEWTON_STEPS = 4
+# Sweep-angle Newton steps: on the node bracket's Hermite cubic (to 2e-8),
+# then on the series (one leaves up to 3e-15, two reach roundoff).
+_HERMITE_STEPS = 3
+_NEWTON_STEPS = 2
 # Grid values per row block of the sweep build and the node bracket: small
 # enough that a block's temporaries stay in cache.
 _SWEEP_ELEMS = 2**16
@@ -188,29 +189,11 @@ def antideriv_nodes(b):
 
 def clenshaw(c, x):
     """Evaluate ``sum_k c[...,k] * T_k(x)`` with Clenshaw recurrence."""
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(c.shape[-1] - 1, 0, -1):
-        b1, b2 = c[..., k] + 2.0 * x * b1 - b2, b1
-    return c[..., 0] + x * b1 - b2
-
-
-def clenshaw_jet(c, x):
-    """The series of `clenshaw` and its x-derivative, in one pass.
-
-    The value recurrence is `clenshaw`'s, so the value agrees bitwise; the
-    derivative runs the recurrence differentiated term by term,
-    ``d_k = 2*b_{k+1} + 2x*d_{k+1} - d_{k+2}``.
-    """
     x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    d1 = np.zeros_like(x)
-    d2 = np.zeros_like(x)
+    b1 = b2 = np.zeros_like(x)
     for k in range(c.shape[-1] - 1, 0, -1):
-        d1, d2 = 2.0 * b1 + x2 * d1 - d2, d1
         b1, b2 = c[..., k] + x2 * b1 - b2, b1
-    return c[..., 0] + x * b1 - b2, b1 + x * d1 - d2
+    return c[..., 0] + x * b1 - b2
 
 
 # ---------------------------------------------------------------------------
@@ -428,32 +411,40 @@ class _CurveEngine:
         A = np.asarray(A, dtype=float)
         wp = self.warp_params(A)
         s = self.xnodes[None, :]
-        out = [np.empty(A.shape + (self.ncheb + 2,)) for _ in range(order + 1)]
+        # column-major, so `clenshaw` reads contiguous columns without a copy
+        out = [np.empty((A.size, self.ncheb + 2), order="F") for _ in range(order + 1)]
+        totals = [np.empty(A.size) for _ in range(order + 1)]
         for sl in self.row_blocks(A.size):
             wp_col = tuple(x[sl, None] for x in wp)
-            al = np.clip(self.warp_alpha(s, wp_col), 0.0, np.pi / 2.0)
-            jet = self.radius_sq(A[sl, None], al, order + 1)
-            dal = self.warp_dalpha(s, wp_col)
-            for k, b in enumerate(out, 1):
-                b[sl] = cheb_antideriv(cheb_coeffs(jet[k] * dal))
-        # the series at alpha = pi/2, i.e. s = 1, where every T_k is 1
-        b = out[0]
-        if order == 0:
-            return b, b.sum(-1), wp
-        bA = out[1]
-        return b, b.sum(-1), wp, bA, bA.sum(-1)
+            density = self.sweep_density(A[sl, None], s, wp_col, order)
+            for b, total, g in zip(out, totals, density):
+                b[sl] = c = cheb_antideriv(cheb_coeffs(g))
+                # the series at alpha = pi/2, i.e. s = 1, where every T_k is 1
+                total[sl] = c.sum(-1)
+        return (out[0], totals[0], wp, *out[1:], *totals[1:])
 
-    def solve_angle(self, b, total, wp, tau4):
+    def sweep_density(self, A, s, wp, order=0):
+        """``(V_A * alpha'(s),)``: the s-derivative of the `build_sweep` series
+        at abscissae ``s``; ``order=1`` appends the same with ``V_AA``."""
+        al = np.clip(self.warp_alpha(s, wp), 0.0, np.pi / 2.0)
+        jet = self.radius_sq(A, al, order + 1)[1:]
+        dal = self.warp_dalpha(s, wp)
+        for v in jet:
+            v *= dal  # in place: a block-sized temporary less per block
+        return jet
+
+    def solve_angle(self, A, b, total, wp, tau4):
         """Invert the quarter sweep: find alpha with Phi(alpha)/total = tau4.
 
         The sweep's values on the Lobatto nodes increase with ``s`` (``V_A >
         0`` and the warp is increasing), so counting the nodes below each
         target brackets its root between two adjacent nodes; the node values
-        are built and searched one of `row_blocks` at a time.  A secant start
-        in that bracket is finished by a fixed number of safeguarded Newton
-        steps in the warped variable, so a point's result does not depend
-        on its batch.  Exact hits are latched so a converged iterate is
-        never displaced by a stale bracket.
+        are built and searched one of `row_blocks` at a time.  Newton steps
+        on the cubic Hermite through the node values and `sweep_density`
+        give the start; a fixed number of safeguarded Newton steps on the
+        series (a `clenshaw` value, `sweep_density` slope) finish, so a
+        point's result does not depend on its batch.  Exact hits are latched
+        so a converged iterate is never displaced by a stale bracket.
         """
         target = tau4 * total
         M = b.shape[-1] - 2
@@ -466,15 +457,23 @@ class _CurveEngine:
             f_lo[sl] = np.take_along_axis(F, jb[:, None], axis=-1)[:, 0]
             f_hi[sl] = np.take_along_axis(F, jb[:, None] - 1, axis=-1)[:, 0]
         lo, hi = self.xnodes[j], self.xnodes[j - 1]
+        # the cubic Hermite through the node values and slopes, less f_lo,
+        # in t = (s - lo) / ds:  t * (g0 + t * (c2 + t * c3))
+        ds, df, rhs = hi - lo, f_hi - f_lo, target - f_lo
+        ends, wp_col = np.stack([lo, hi], -1), tuple(x[:, None] for x in wp)
+        g0, g1 = (ds[:, None] * self.sweep_density(A[:, None], ends, wp_col)[0]).T
+        c2, c3 = 3.0 * df - 2.0 * g0 - g1, g0 + g1 - 2.0 * df
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = lo + (target - f_lo) * ((hi - lo) / (f_hi - f_lo))
-        s = np.where(np.isfinite(s), np.clip(s, lo, hi), 0.5 * (lo + hi))
-        b = np.asfortranarray(b)  # contiguous columns for the recurrence
+            t = np.where(df > 0.0, np.clip(rhs / df, 0.0, 1.0), 0.5)  # secant
+            for _ in range(_HERMITE_STEPS):
+                res = t * (g0 + t * (c2 + t * c3)) - rhs
+                t_new = t - res / (g0 + t * (2.0 * c2 + t * (3.0 * c3)))
+                t = np.where(np.isfinite(t_new), np.clip(t_new, 0.0, 1.0), t)
+        s = lo + t * ds
         for _ in range(_NEWTON_STEPS):
-            val, der = clenshaw_jet(b, s)
-            val = val - target
-            hi = np.where(val > 0.0, s, hi)
-            lo = np.where(val < 0.0, s, lo)
+            val = clenshaw(b, s) - target
+            lo, hi = np.where(val < 0.0, s, lo), np.where(val > 0.0, s, hi)
+            der = self.sweep_density(A, s, wp)[0]
             with np.errstate(divide="ignore", invalid="ignore"):
                 s_new = s - val / der
             ok = np.isfinite(s_new) & (der > 0.0)

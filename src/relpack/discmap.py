@@ -104,7 +104,7 @@ def _curve_eval(eng, A, fold, order=0):
 def _curve_block(eng, A, tau4, sq, sp, order):
     """`_curve_eval` on one block of points."""
     b, total, wp, *sweep_A = eng.build_sweep(A, order)
-    alpha, s = eng.solve_angle(b, total, wp, tau4)
+    alpha, s = eng.solve_angle(A, b, total, wp, tau4)
     jet = eng.radius_sq(A, alpha, order, angle=order > 0)
     R = np.sqrt(jet[0] if order else jet)
     ca, sa = np.cos(alpha), np.sin(alpha)
@@ -362,8 +362,7 @@ def _curve_polyline(eng, A, nvert):
     """
     wp = eng.warp_params(np.asarray([A]))
     s = np.linspace(-1.0, 1.0, nvert // 4 + 1)
-    wp_col = tuple(x[:, None] for x in wp)
-    al = np.clip(eng.warp_alpha(s[None, :], wp_col), 0.0, np.pi / 2.0)[0]
+    al = np.clip(eng.warp_alpha(s, wp), 0.0, np.pi / 2.0)
     R = np.sqrt(eng.radius_sq(np.full_like(al, A), al))
     xq, yq = R * np.cos(al), R * np.sin(al)
     x = np.concatenate([xq[:-1], -xq[::-1][:-1], -xq[:-1], xq[::-1][:-1]])

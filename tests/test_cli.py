@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from relpack import make_params
+from relpack import cli, make_params
 from relpack.cli import main
 
 
@@ -52,6 +52,18 @@ def test_bad_tolerance_syntax(capsys):
     assert rc == 2
     rc = main(["verify", "--samples", "100", "--tol", "nope=1e-6"])
     assert rc == 2
+
+
+def test_repeated_calls_share_no_state(monkeypatch):
+    # the parser is built once per process, but no call may see another's --tol
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: seen.append(args.tol) or 0)
+    for argv in (["--tol", "x=1"], [], ["--tol", "y=2"]):
+        assert main(["verify", *argv]) == 0
+        seen.append(parser.parse_args(["verify", *argv]).tol)
+    assert seen == [["x=1"]] * 2 + [[]] * 2 + [["y=2"]] * 2
 
 
 def test_unknown_flag_or_command(capsys):

@@ -15,7 +15,6 @@ from relpack.curves import (
     cheb_antideriv,
     cheb_coeffs,
     clenshaw,
-    clenshaw_jet,
 )
 
 # ---------------------------------------------------------------------------
@@ -60,9 +59,11 @@ def test_clenshaw_reproduces_exp():
     c = cheb_coeffs(np.exp(xn))
     xs = np.linspace(-1.0, 1.0, 257)
     assert np.max(np.abs(clenshaw(c, xs) - np.exp(xs))) < 1e-14
-    val, der = clenshaw_jet(c, xs)
-    assert np.array_equal(val, clenshaw(c, xs))
-    assert np.max(np.abs(der - np.exp(xs))) < 1e-11
+    # bitwise the plain recurrence b_k = c_k + 2x*b_{k+1} - b_{k+2}
+    b1 = b2 = np.zeros_like(xs)
+    for k in range(c.size - 1, 0, -1):
+        b1, b2 = c[k] + 2.0 * xs * b1 - b2, b1
+    assert np.array_equal(clenshaw(c, xs), c[0] + xs * b1 - b2)
 
 
 def test_antiderivative_of_exp():
@@ -74,8 +75,6 @@ def test_antiderivative_of_exp():
     assert abs(clenshaw(b, np.asarray(-1.0))) < 1e-15
     exact = np.exp(xs) - np.exp(-1.0)
     assert np.max(np.abs(clenshaw(b, xs) - exact)) < 1e-14
-    # fundamental theorem, through the differentiated recurrence
-    assert np.max(np.abs(clenshaw_jet(b, xs)[1] - np.exp(xs))) < 1e-11
     # on the integrand's own nodes, through one DCT-I
     assert np.max(np.abs(antideriv_nodes(b) - (np.exp(xn) - np.exp(-1.0)))) < 1e-14
 
@@ -289,8 +288,8 @@ def test_level_curve_invariants(frac):
 # sweep-angle solve
 
 
-@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
-def test_solve_angle_residual_at_roundoff(n, r):
+def _solve_grid(n, r):
+    """Areas across the whole range, sweep fractions including both ends."""
     eng = _engine(make_params(n, r))
     am = eng.area_max
     A = np.concatenate(
@@ -303,9 +302,28 @@ def test_solve_angle_residual_at_roundoff(n, r):
     rng = np.random.default_rng(7)
     tau = np.concatenate([[0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0], rng.random(20)])
     A, tau = (x.ravel() for x in np.meshgrid(A, tau, indexing="ij"))
+    return eng, A, tau
+
+
+_SOLVE_CASES = [(2, 0.8), (3, 0.7), (4, 0.63), (6, 0.534)]
+
+
+@pytest.mark.parametrize("n, r", _SOLVE_CASES)
+def test_solve_angle_residual_at_roundoff(n, r):
+    eng, A, tau = _solve_grid(n, r)
     b, total, wp = eng.build_sweep(A)
-    _, s = eng.solve_angle(b, total, wp, tau)
+    _, s = eng.solve_angle(A, b, total, wp, tau)
     assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 2e-15
+
+
+@pytest.mark.parametrize("n, r", _SOLVE_CASES)
+def test_solve_angle_hermite_start(n, r, monkeypatch):
+    # the start alone, so a poor start cannot hide behind the Newton steps
+    eng, A, tau = _solve_grid(n, r)
+    b, total, wp = eng.build_sweep(A)
+    monkeypatch.setattr(curves, "_NEWTON_STEPS", 0)
+    _, s = eng.solve_angle(A, b, total, wp, tau)
+    assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 1e-7
 
 
 def test_solve_angle_series_passes(p28, monkeypatch):
@@ -324,7 +342,7 @@ def test_solve_angle_series_passes(p28, monkeypatch):
 
         return wrapped
 
-    for name in ("antideriv_nodes", "clenshaw", "clenshaw_jet"):
+    for name in ("antideriv_nodes", "clenshaw"):
         monkeypatch.setattr(curves, name, counting(name))
-    eng.solve_angle(b, total, wp, rng.random(64))
-    assert len(passes) <= 5
+    eng.solve_angle(A, b, total, wp, rng.random(64))
+    assert passes == ["antideriv_nodes", "clenshaw", "clenshaw"]
