@@ -102,9 +102,21 @@ def _curve_eval(eng, A, fold, order=0):
 
 
 def _curve_block(eng, A, tau4, sq, sp, order):
-    """`_curve_eval` on one block of points."""
-    b, total, wp, *sweep_A = eng.build_sweep(A, order)
-    alpha, s = eng.solve_angle(A, b, total, wp, tau4)
+    """`_curve_eval` on one block of points.
+
+    At ``order=0`` symmetry fixes the angle on the axes (``alpha = 0`` at
+    ``tau4 == 0``, ``pi/2`` at ``tau4 == 1``, as `solve_angle` would
+    return), so only the rows off them build a sweep and solve for it.
+    """
+    if order == 0:
+        alpha = np.where(tau4 <= 0.0, 0.0, np.pi / 2.0)
+        off = np.flatnonzero((tau4 > 0.0) & (tau4 < 1.0))
+        if off.size:
+            b, total, wp = eng.build_sweep(A[off])
+            alpha[off] = eng.solve_angle(A[off], b, total, wp, tau4[off])[0]
+    else:
+        b, total, wp, *sweep_A = eng.build_sweep(A, order)
+        alpha, s = eng.solve_angle(A, b, total, wp, tau4)
     jet = eng.radius_sq(A, alpha, order, angle=order > 0)
     R = np.sqrt(jet[0] if order else jet)
     ca, sa = np.cos(alpha), np.sin(alpha)

@@ -180,6 +180,61 @@ def test_blocks_do_not_change_results(n, r, rng, monkeypatch):
         sigma_inv(Q, P_bad, params)
 
 
+def _sweep_areas(eng, monkeypatch):
+    """Record the areas of every row `build_sweep` is handed."""
+    seen = []
+    build = eng.build_sweep
+
+    def recording(A, order=0):
+        seen.append(np.array(A, dtype=float).ravel())
+        return build(A, order)
+
+    monkeypatch.setattr(eng, "build_sweep", recording)
+    return lambda: np.concatenate(seen) if seen else np.empty(0)
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_axis_points_build_no_sweep(n, r, rng, monkeypatch):
+    params = make_params(n, r)
+    eng = curves._engine(params)
+    seen = _sweep_areas(eng, monkeypatch)
+    # the diameter, as every certificate maps it: no sweep at all
+    diam = np.zeros((50, 2 * n))
+    diam[:, 0::2] = ball_points(rng, make_params(n, r, params.epsilon), 50)[:, :n]
+    phi(diam, params)
+    sigma(diam[:, 0], 0.0, params)
+    level_curve_point(0.5, np.array([0.0, 0.25, 0.5, 0.75, 1.0]), params)
+    assert seen().size == 0
+    # a mixed batch: exactly the off-axis rows, in order
+    pts = ball_points(rng, make_params(1, r, params.epsilon), 40)
+    pts[::4, 1] = 0.0
+    pts[1::4, 0] = 0.0
+    pts[2] = [0.0, 0.0]
+    q, p = pts[:, 0], pts[:, 1]
+    off = (q != 0.0) & (p != 0.0)
+    sigma(q, p, params)
+    assert np.array_equal(seen(), np.pi * (q * q + p * p)[off])
+    # the Jacobian needs the sweep's totals on the axes too: every row
+    # (the centre with its stand-in area)
+    sigma_jacobian(q, p, params)
+    assert seen().size == off.sum() + q.size
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_axis_images_are_exact(n, r, rng):
+    params = make_params(n, r)
+    eng = curves._engine(params)
+    s = np.concatenate([[0.3, -0.3, 1e-9, -1e-9], rng.uniform(-r, r, 40) * (1 - 1e-9)])
+    A = np.pi * (s * s)  # as sigma forms it
+    side = np.sqrt(eng.radius_sq(A, np.zeros_like(A)))
+    top = np.sqrt(eng.radius_sq(A, np.full_like(A, np.pi / 2.0)))
+    for Q, P in (sigma(s, 0.0, params), sigma_jacobian(s, 0.0, params)[:2]):
+        assert np.all(P == params.c)
+        assert np.array_equal(Q, np.pi / 2.0 + np.sign(s) * side)
+    for Q, P in (sigma(0.0, s, params), sigma_jacobian(0.0, s, params)[:2]):
+        assert np.array_equal(P, params.c + np.sign(s) * top)
+
+
 def _peak_mib(fn, *args):
     tracemalloc.start()
     try:
