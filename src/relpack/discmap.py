@@ -91,6 +91,21 @@ def _fold_angle(t):
     return tau4, s4, sq, sp
 
 
+def _fold_point(q, p):
+    """`_fold_angle` of the polar angle of ``(q, p)``, read off the point.
+
+    The in-quadrant fraction is taken from ``arctan2(|p|, |q|)`` and the
+    quadrant from the signs of ``q`` and ``p``, so a tiny ``p`` keeps its
+    sign where ``arctan2(p, q)`` crosses its branch cut (``t + 1`` rounds
+    to 1 there).  On an axis the quadrant is the one `_fold_angle` picks:
+    that of ``t = 0, 0.25, 0.5, 0.75``.
+    """
+    tau4 = 4.0 * (np.arctan2(np.abs(p), np.abs(q)) / (2.0 * np.pi))
+    sq = np.where(q > 0.0, 1.0, np.where(q < 0.0, -1.0, np.where(p > 0.0, -1.0, 1.0)))
+    sp = np.where(p > 0.0, 1.0, np.where(p < 0.0, -1.0, np.where(q < 0.0, -1.0, 1.0)))
+    return tau4, sq * sp, sq, sp
+
+
 def _curve_eval(eng, A, fold, order=0):
     """Point ``(Q, P)`` of the level curve at area ``A`` and folded fraction.
 
@@ -148,17 +163,16 @@ def _check_in_ball(u, r, what="q**2 + p**2"):
 def _polar(q, p, params):
     """Polar preamble of `sigma` and `sigma_jacobian`; rejects non-finite points.
 
-    Returns flat ``q, p``, the input shape, ``u``, the folded polar angle,
-    the off-center mask, and the area ``pi*u`` with a stand-in at the center.
+    Returns flat ``q, p``, the input shape, ``u``, the folded polar angle
+    (`_fold_point`), the off-center mask, and the area ``pi*u`` with a
+    stand-in at the center.
     """
     (qf, pf), shape = _flatten(q, p)
     u = qf * qf + pf * pf
     _check_in_ball(u, params.r)
-    t = np.arctan2(pf, qf) / (2.0 * np.pi)
-    t = np.where(t < 0.0, t + 1.0, t)
     interior = u > 0.0
     A_safe = np.where(interior, np.pi * u, params.area_max * 1e-8)
-    return qf, pf, shape, u, _fold_angle(t), interior, A_safe
+    return qf, pf, shape, u, _fold_point(qf, pf), interior, A_safe
 
 
 def _centred(eng, Q, P, interior, shape):

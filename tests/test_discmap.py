@@ -56,6 +56,25 @@ def test_sign_conventions(p28):
     assert Q < np.pi / 2.0 and P == pytest.approx(p28.c, abs=1e-15)
 
 
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_midline_sign_survives_the_branch_cut(n, r):
+    # arctan2(p, q) + 2*pi rounds to 2*pi for a tiny negative p at q > 0,
+    # and arctan2 rounds to +-pi for a tiny p at q < 0: the sign of p must
+    # survive both, and reflecting p must reflect P - c exactly
+    params = make_params(n, r)
+    q = np.array([0.5, 0.5, -0.5, -0.5, 0.5, -0.5])
+    p = np.array([1e-17, 1e-16, 1e-17, 1e-16, 1e-12, 1e-12])
+    c = params.c
+    for Q, P, Qm, Pm in (
+        (*sigma(q, p, params), *sigma(q, -p, params)),
+        (*sigma_jacobian(q, p, params)[:2], *sigma_jacobian(q, -p, params)[:2]),
+    ):
+        assert np.array_equal(Qm, Q)
+        assert np.array_equal(Pm - c, -(P - c))
+        assert np.all(P >= c)
+        assert np.all(P[p >= 1e-16] > c)
+
+
 def test_reflection_equivariance(p28, rng):
     q = rng.uniform(-0.5, 0.5, 200)
     p = rng.uniform(-0.5, 0.5, 200)
