@@ -324,20 +324,23 @@ def _inverse_block(eng, Q, P, A_lim):
     require(np.isfinite(rho2))
     alpha_q = np.arctan2(np.abs(up), np.abs(xi))
     A = _solve_area(eng, rho2, alpha_q, A_lim, require)
-    b, total, wp = eng.build_sweep(A)
-    s = np.clip(eng.warp_s(alpha_q, wp), -1.0, 1.0)
-    phi_q = clenshaw(b, s) / (4.0 * total)
+    # the quarter sweep fraction, which symmetry fixes on the centre lines
+    phi_q = np.where(up == 0.0, 0.0, 0.25)
+    off = np.flatnonzero((up != 0.0) & (xi != 0.0))
+    if off.size:
+        b, total, wp = eng.build_sweep(A[off])
+        s = np.clip(eng.warp_s(alpha_q[off], wp), -1.0, 1.0)
+        phi_q[off] = clenshaw(b, s) / (4.0 * total)
     # unfold the quarter sweep into the quadrant of (xi, up)
     t = np.where(
         up >= 0.0,
         np.where(xi >= 0.0, phi_q, 0.5 - phi_q),
         np.where(xi < 0.0, 0.5 + phi_q, 1.0 - phi_q),
     )
-    interior = rho2 > 0.0
-    u = A / np.pi
-    th = 2.0 * np.pi * t
-    q = np.where(interior, np.sqrt(u) * np.cos(th), 0.0)
-    p = np.where(interior, np.sqrt(u) * np.sin(th), 0.0)
+    root, th = np.sqrt(A / np.pi), 2.0 * np.pi * t
+    # a point on a centre line (or the centre) comes back on the disc axis
+    q = np.where(xi == 0.0, 0.0, root * np.cos(th))
+    p = np.where(up == 0.0, 0.0, root * np.sin(th))
     return q, p
 
 

@@ -359,6 +359,21 @@ def test_inverse_radius_passes(p28, monkeypatch, rng):
     assert np.median(per_point) <= 6
 
 
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_inverse_returns_axis_points_exactly(n, r, rng, monkeypatch):
+    params = make_params(n, r)
+    s = np.concatenate([[0.3, -0.3], rng.uniform(-r, r, 20) * (1.0 - 1e-9)])
+    zero = np.zeros_like(s)
+    q, p = sigma_inv(*sigma(s, zero, params), params)
+    assert np.all(p == 0.0) and np.array_equal(np.sign(q), np.sign(s))
+    q, p = sigma_inv(*sigma(zero, s, params), params)
+    assert np.all(q == 0.0) and np.array_equal(np.sign(p), np.sign(s))
+    # symmetry fixes their sweep fraction, so no sweep is built for them
+    seen = _sweep_areas(curves._engine(params), monkeypatch)
+    sigma_inv(*sigma(np.append(s, zero), np.append(zero, s), params), params)
+    assert seen().size == 0
+
+
 def test_inverse_rejects_points_off_image(p28):
     with pytest.raises(NotInImage):
         sigma_inv(np.pi / 2.0, 0.7, p28)  # above every level curve
