@@ -101,8 +101,8 @@ def _fold_point(q, p):
     that of ``t = 0, 0.25, 0.5, 0.75``.
     """
     tau4 = 4.0 * (np.arctan2(np.abs(p), np.abs(q)) / (2.0 * np.pi))
-    sq = np.where(q > 0.0, 1.0, np.where(q < 0.0, -1.0, np.where(p > 0.0, -1.0, 1.0)))
-    sp = np.where(p > 0.0, 1.0, np.where(p < 0.0, -1.0, np.where(q < 0.0, -1.0, 1.0)))
+    sq = np.where(q != 0.0, np.sign(q), np.where(p > 0.0, -1.0, 1.0))
+    sp = np.where(p != 0.0, np.sign(p), np.where(q < 0.0, -1.0, 1.0))
     return tau4, sq * sp, sq, sp
 
 
@@ -289,6 +289,8 @@ def sigma_inv(Q, P, params: PackingParams):
     along the ray from the center (see `_solve_area`: a fixed log-area grid
     brackets the root, Newton steps in ``log A`` finish it), and the polar
     angle is the sweep fraction of that curve at the point's quarter angle.
+    On the centre lines ``P = c`` and ``Q = pi/2`` symmetry fixes that
+    fraction, and the point comes back exactly on the matching disc axis.
     Like `sigma`, it works on fixed blocks of `_BLOCK` points, so its peak
     memory is O(`_BLOCK` * ncheb) beyond the inputs and outputs.
 
@@ -338,7 +340,7 @@ def _inverse_block(eng, Q, P, A_lim):
         np.where(xi < 0.0, 0.5 + phi_q, 1.0 - phi_q),
     )
     root, th = np.sqrt(A / np.pi), 2.0 * np.pi * t
-    # a point on a centre line (or the centre) comes back on the disc axis
+    # a point on a centre line (or the centre) comes back on a disc axis
     q = np.where(xi == 0.0, 0.0, root * np.cos(th))
     p = np.where(up == 0.0, 0.0, root * np.sin(th))
     return q, p

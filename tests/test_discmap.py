@@ -221,7 +221,6 @@ def test_axis_points_build_no_sweep(n, r, rng, monkeypatch):
     diam = np.zeros((50, 2 * n))
     diam[:, 0::2] = ball_points(rng, make_params(n, r, params.epsilon), 50)[:, :n]
     phi(diam, params)
-    sigma(diam[:, 0], 0.0, params)
     level_curve_point(0.5, np.array([0.0, 0.25, 0.5, 0.75, 1.0]), params)
     assert seen().size == 0
     # a mixed batch: exactly the off-axis rows, in order
