@@ -19,9 +19,11 @@ Everything downstream (the area-preserving disc map, its Jacobian, and the
 area oracle) consumes this module through a per-parameter engine holding the
 fitted schedule and Chebyshev quadrature nodes.  The engine writes each
 quantity once, as a jet whose ``order`` argument selects how many
-``A``-derivatives to append: ``schedule`` for ``(h, a, m)``, ``radius_sq``
-for the squared polar radius, and ``build_sweep`` for the area-sweep series,
-so the map, its inverse and its Jacobian evaluate the same formulas.
+``A``-derivatives to append: ``schedule`` for ``(h, a, m)``, ``radius_jet``
+for the squared polar radius (``radius_sq`` from an area), and
+``build_sweep`` for the area-sweep series, so the map, its inverse and its
+Jacobian evaluate the same formulas.  The last two take a row's schedule
+jet, so a map call computes it once for every step.
 """
 
 from __future__ import annotations
@@ -49,12 +51,20 @@ __all__ = [
 _BLEND_K = 6.0
 _M_MAX = 512.0
 # Sweep-angle Newton steps: on the node bracket's Hermite cubic (to 2e-8),
-# then on the series (one leaves up to 3e-15, two reach roundoff).
+# then on the series (one leaves up to 3e-15, two reach roundoff).  A series
+# residual within `_SERIES_ROUNDOFF` of the sweep total is the series' own
+# rounding noise (about 1e-16 near the ends) and is not stepped on.
 _HERMITE_STEPS = 3
 _NEWTON_STEPS = 2
+_SERIES_ROUNDOFF = 2.0**-50
 # Grid values per row block of the sweep build and the node bracket: small
 # enough that a block's temporaries stay in cache.
 _SWEEP_ELEMS = 2**16
+# Floor of the log-ratio ``u`` in `radius_jet`'s derivative terms: below it
+# ``exp(m*u/2)`` is 0 for every exponent ``m >= 2``, so the floor changes no
+# value; it only keeps ``u = -inf`` (on the axis ``alpha = 0``) out of the
+# products ``0 * u``.
+_U_FLOOR = -1e3
 
 
 def area_factor(m):
@@ -113,11 +123,6 @@ def _height(A, eps, order=0):
     return h, lnhp, lnhpp
 
 
-def _mprod(wgt, val):
-    """``wgt * val`` with ``val`` possibly infinite where ``wgt`` vanishes."""
-    return np.where(wgt == 0.0, 0.0, wgt * np.where(np.isfinite(val), val, 0.0))
-
-
 def _check_areas(A, area_max):
     """Raise ValueError unless every ``A`` lies in ``(0, area_max)``; NaN fails."""
     if not np.all((A > 0.0) & (A < area_max)):
@@ -144,8 +149,8 @@ def cheb_coeffs(F):
         Coefficients with ``f(x) = sum_k c[k] * T_k(x)``.
     """
     M = F.shape[-1] - 1
-    y = dct(F, type=1, axis=-1)
-    c = y / M
+    c = dct(F, type=1, axis=-1)
+    c /= M
     c[..., 0] *= 0.5
     c[..., -1] *= 0.5
     return c
@@ -154,15 +159,14 @@ def cheb_coeffs(F):
 def cheb_antideriv(c):
     """Coefficients of ``x -> integral of f from -1 to x``, same basis."""
     M = c.shape[-1] - 1
-    b = np.zeros(c.shape[:-1] + (M + 2,))
+    b = np.empty(c.shape[:-1] + (M + 2,))
     # b_k = (c_{k-1} - c_{k+1}) / (2k) for k >= 1; c_0 enters doubled because
     # the series convention above stores it halved.
-    cm1 = c[..., 0 : M + 1].copy()
-    cm1[..., 0] *= 2.0
-    cp1 = np.zeros_like(cm1)
-    cp1[..., 0 : M - 1] = c[..., 2 : M + 1]
+    b[..., 1:] = c
+    b[..., 1] += c[..., 0]
+    b[..., 1:M] -= c[..., 2:]
     k = np.arange(1, M + 2)
-    b[..., 1:] = (cm1 - cp1) / (2.0 * k)
+    b[..., 1:] /= 2.0 * k
     sign = (-1.0) ** k
     b[..., 0] = -np.sum(b[..., 1:] * sign, axis=-1)
     return b
@@ -255,7 +259,7 @@ class _CurveEngine:
                 np.linspace(0.9 * self.area_max, self.area_max, 100),
             ]
         )
-        h, a, m, hp, ap, mp = self.schedule(A, 1)
+        sched = h, a, m, hp, ap, mp = self.schedule(A, 1)
         cap = A / (2.0 * np.pi) + self.eps / 2.0
         problems = []
         if not np.all(ap > 0.0):
@@ -267,7 +271,7 @@ class _CurveEngine:
         if not a.max() < np.pi / 2.0 - self.delta_q:
             problems.append("half-width reaches the wall margin")
         alpha = np.linspace(0.0, np.pi / 2.0, 101)
-        _, VA = self.radius_sq(A[:, None], alpha[None, :], 1)
+        _, VA = self.radius_jet(tuple(x[:, None] for x in sched), alpha, 1)
         if not VA.min() > 0.0:
             problems.append("level curves not strictly nested")
         if problems:
@@ -311,58 +315,120 @@ class _CurveEngine:
     def radius_sq(self, A, alpha, order=0, angle=False):
         """Squared distance ``V`` from the center at quarter angle ``alpha``.
 
-        ``alpha`` is measured in the first quadrant of centered coordinates;
-        the full curve follows by reflecting in both axes.  Returns ``V`` at
-        ``order=0``, ``(V, V_A)`` at ``order=1`` (``V_A > 0`` iff the curves
-        are nested) and ``(V, V_A, V_AA)`` at ``order=2``; ``angle=True``
-        appends ``V_alpha``.
+        ``alpha`` is an array measured in the first quadrant of centered
+        coordinates; the full curve follows by reflecting in both axes.
+        Returns ``V`` at ``order=0``, ``(V, V_A)`` at ``order=1`` (``V_A >
+        0`` iff the curves are nested) and ``(V, V_A, V_AA)`` at
+        ``order=2``; ``angle=True`` appends ``V_alpha``.
         """
-        sched = self.schedule(A, order)
+        return self.radius_jet(self.schedule(A, order), alpha, order, angle)
+
+    def radius_jet(self, sched, alpha, order=0, angle=False):
+        """`radius_sq` of the rows whose `schedule` jet is ``sched``.
+
+        ``sched`` may carry more derivatives than ``order`` uses, so one
+        schedule serves every jet of a row.  With ``x = log(a**2/cos**2)``
+        and ``y = log(h**2/sin**2)``, ``V = (exp(-m*x/2) +
+        exp(-m*y/2))**(-2/m)``.  Both logs come from one tangent, as
+        ``log1p(t**2)`` and ``log1p(t**-2)``, each free of cancellation on
+        its half of the quadrant, and the ratio ``e = exp(-m*|x - y|/2)`` of
+        the smaller term to the larger gives the log-sum and both weights.
+        Past the first few operations the grid is computed in place.
+        """
         h, a, m = sched[:3]
-        with np.errstate(divide="ignore"):
-            lnca, lnsa = np.log(np.cos(alpha)), np.log(np.sin(alpha))
-        el1 = lnca - np.log(a)
-        el2 = lnsa - np.log(h)
-        l1, l2 = m * el1, m * el2
-        L = np.logaddexp(l1, l2)
-        V = np.exp(-(2.0 / m) * L)
+        mh = -0.5 * m
+        x = np.tan(alpha)
+        x *= x
+        with np.errstate(divide="ignore", over="ignore"):
+            y = np.reciprocal(x)  # inf on the axis alpha = 0
+        x = np.log1p(x, out=x) + 2.0 * np.log(a)
+        y = np.log1p(y, out=y) + 2.0 * np.log(h)
+        u = np.subtract(x, y)
+        e = np.abs(u)
+        e *= mh
+        np.exp(e, out=e)
+        # log V = min(x, y) - (2/m) log1p(e), in the buffers of x and y
+        V = np.minimum(x, y, out=x)
+        lg = np.log1p(e, out=y)
+        del x, y  # so that `del lg` below frees that buffer
+        lg *= 2.0 / m
+        V -= lg
+        np.exp(V, out=V)
+        if order == 0 and not angle:
+            return V
+        np.maximum(u, _U_FLOOR, out=u)
+        # weights of the two terms: the smaller term's is wmin = e/(1+e),
+        # the larger's q = 1 - wmin, and the sine term's w2 = q exp(m min(u,
+        # 0)/2); H = wmin |u| + (2/m) log1p(e) >= 0 is 2/m times their entropy
+        wmin = np.divide(e, e + 1.0, out=e)
+        del e
+        H = np.abs(u)
+        H *= wmin
+        H += lg
+        del lg
         jet = (V,)
-        if order >= 1:
-            # V = exp(-(2/m) * L) with L = log(exp(l1) + exp(l2)); along A,
-            # L' = sum w_i l_i' and L'' = sum w_i l_i'' + w1 w2 (l1' - l2')**2
-            hp, ap, mp = sched[3:6]
-            w1 = np.exp(l1 - L)
-            w2 = np.exp(l2 - L)
-            l1d = mp * el1 - m * (ap / a)
-            l2d = mp * el2 - m * (hp / h)
-            Ld = _mprod(w1, l1d) + _mprod(w2, l2d)
-            N_A = (2.0 / m**2) * mp * L - (2.0 / m) * Ld
-            jet += (V * N_A,)
-        if order == 2:
-            hpp, app, mpp = sched[6:]
-            l1dd = mpp * el1 - 2.0 * mp * (ap / a) - m * (app / a - (ap / a) ** 2)
-            l2dd = mpp * el2 - 2.0 * mp * (hp / h) - m * (hpp / h - (hp / h) ** 2)
-            Ldd = (_mprod(w1, l1dd) + _mprod(w2, l2dd)
-                   + _mprod(w1 * w2, (l1d - l2d) ** 2))
-            N_AA = (
-                (-4.0 / m**3) * mp**2 * L
-                + (2.0 / m**2) * mpp * L
-                + (4.0 / m**2) * mp * Ld
-                - (2.0 / m) * Ldd
-            )
-            jet += (V * (N_A**2 + N_AA),)
         if angle:
-            # assembled in log space to survive the axes
-            w2cot = np.exp((m - 1.0) * lnsa - m * np.log(h) + lnca - L)
-            w1tan = np.exp((m - 1.0) * lnca - m * np.log(a) + lnsa - L)
-            jet += (V * (-2.0) * (w2cot - w1tan),)
+            w1 = np.maximum(u, 0.0)
+            w1 *= mh
+            np.exp(w1, out=w1)
+        if order >= 1:
+            hp, ap, mp = sched[3:6]
+            g1, g2 = ap / a, hp / h
+            rmp = mp / m
+        if order == 2:
+            # D = w1 w2 (l1' - l2')**2, where l_i = -m x_i / 2 and
+            # l1' - l2' = m (g2 - g1) - (m'/2) u
+            D = np.multiply(u, -0.5 * mp)
+            D += m * (g2 - g1)
+            D *= D
+            D *= wmin
+        q = np.subtract(1.0, wmin, out=wmin)
+        w2 = np.minimum(u, 0.0, out=u)
+        w2 *= 0.5 * m
+        np.exp(w2, out=w2)
+        w2 *= q
+        if angle:
+            # V_alpha = 2V (w1 tan - w2 cot); w2 vanishes on alpha = 0
+            w1 *= q
+            t = np.tan(alpha)
+            w1 *= t
+            w1 -= np.divide(w2, t, out=np.zeros_like(w2), where=t > 0.0)
+            w1 *= V
+            w1 *= 2.0
+        if order >= 1:
+            if order == 2:
+                D *= q
+            # N_A = (log V)' = (m'/m) H + sum_i w_i x_i', where x' = 2 a'/a
+            # and y' = 2 h'/h; V_A = V N_A
+            N_A = np.multiply(H, rmp, out=q)
+            N_A += 2.0 * g1
+            N_A += w2 * (2.0 * (g2 - g1))
+            if order == 2:
+                hpp, app, mpp = sched[6:9]
+                G1, G2 = app / a - g1 * g1, hpp / h - g2 * g2
+                # N_AA = N_A' = (m''/m - 2 (m'/m)**2) H - (2/m) D
+                #        + sum_i w_i x_i''; V_AA = V (N_A**2 + N_AA)
+                V_AA = np.multiply(H, mpp / m - 2.0 * rmp * rmp, out=H)
+                D *= -2.0 / m
+                V_AA += D
+                V_AA += 2.0 * G1
+                V_AA += np.multiply(w2, 2.0 * (G2 - G1), out=D)
+                V_AA += np.multiply(N_A, N_A, out=D)
+                V_AA *= V
+            V_A = np.multiply(N_A, V, out=N_A)
+            jet += (V_A, V_AA) if order == 2 else (V_A,)
+        if angle:
+            jet += (w1,)
         return jet if len(jet) > 1 else V
 
     # -- warped quadrature contour -------------------------------------------
 
-    def warp_params(self, A):
-        """Parameters of the sinh map packing nodes near the curve corner."""
-        h, a, m = self.schedule(A)
+    def warp_params(self, sched):
+        """Parameters of the sinh map packing nodes near the curve corner.
+
+        ``sched`` is the rows' `schedule` jet; only ``(h, a, m)`` are read.
+        """
+        h, a, m = sched[:3]
         alpha_c = np.arctan2(h, a)
         w = np.clip(3.0 * np.sin(alpha_c) * np.cos(alpha_c) / m, 1e-10, 0.5)
         beta = 0.5 * (
@@ -372,14 +438,21 @@ class _CurveEngine:
         return alpha_c, w, beta, s_c
 
     @staticmethod
-    def warp_alpha(s, wp):
-        alpha_c, w, beta, s_c = wp
-        return alpha_c + w * np.sinh(beta * (s - s_c))
+    def warp(s, wp):
+        """Contour angle ``alpha(s)``, clipped to the quadrant, and ``alpha'(s)``.
 
-    @staticmethod
-    def warp_dalpha(s, wp):
+        Both share ``beta * (s - s_c)``, and ``alpha'`` is formed in its buffer.
+        """
         alpha_c, w, beta, s_c = wp
-        return w * beta * np.cosh(beta * (s - s_c))
+        z = np.subtract(s, s_c)
+        z *= beta
+        alpha = np.sinh(z)
+        alpha *= w
+        alpha += alpha_c
+        np.clip(alpha, 0.0, np.pi / 2.0, out=alpha)
+        np.cosh(z, out=z)
+        z *= w * beta
+        return alpha, z
 
     @staticmethod
     def warp_s(alpha, wp):
@@ -393,58 +466,64 @@ class _CurveEngine:
         rows = max(1, _SWEEP_ELEMS // (self.ncheb + 1))
         return [slice(i, i + rows) for i in range(0, N, rows)]
 
-    def build_sweep(self, A, order=0):
-        """Antiderivative of the angular area-sweep density for each A.
+    def build_sweep(self, sched, order=0):
+        """Antiderivative of the angular area-sweep density for each row.
 
-        Returns ``(b, total, wp)``: Chebyshev coefficients of
-        ``s -> integral_0^alpha(s) dV/dA``, its value at ``alpha = pi/2``,
-        and the warp parameters.  Since the enclosed area equals twice the
-        integral of radius_sq over a quarter period, ``total`` is exactly
-        1/2; the computed value is kept as the normalizer so that quadrature
-        error cancels from the sweep fraction.  ``order=1`` appends
-        ``(bA, totalA)``, the same integral of ``d2V/dA2`` over the same
-        warped contour (needed by the closed-form Jacobian).
+        ``sched`` is the rows' `schedule` jet, to at least ``order + 1``.
+        Returns ``(b, total, wp)``: Chebyshev coefficients of ``s ->
+        integral_0^alpha(s) dV/dA``, its value at ``alpha = pi/2``, and the
+        warp parameters.  Since the enclosed area equals twice the integral
+        of radius_sq over a quarter period, ``total`` is exactly 1/2; the
+        computed value is kept as the normalizer so that quadrature error
+        cancels from the sweep fraction.  ``order=1`` appends ``(bA,
+        totalA)``, the same integral of ``d2V/dA2`` over the same warped
+        contour (needed by the closed-form Jacobian).
 
         The node grid is evaluated in `row_blocks`, so beyond the returned
         ``(N, ncheb+2)`` coefficients the temporaries are O(`_SWEEP_ELEMS`).
         """
-        A = np.asarray(A, dtype=float)
-        wp = self.warp_params(A)
+        wp = self.warp_params(sched)
+        N = wp[0].size
         s = self.xnodes[None, :]
         # column-major, so `clenshaw` reads contiguous columns without a copy
-        out = [np.empty((A.size, self.ncheb + 2), order="F") for _ in range(order + 1)]
-        totals = [np.empty(A.size) for _ in range(order + 1)]
-        for sl in self.row_blocks(A.size):
+        out = [np.empty((N, self.ncheb + 2), order="F") for _ in range(order + 1)]
+        totals = [np.empty(N) for _ in range(order + 1)]
+        for sl in self.row_blocks(N):
+            rows = tuple(x[sl, None] for x in sched)
             wp_col = tuple(x[sl, None] for x in wp)
-            density = self.sweep_density(A[sl, None], s, wp_col, order)
+            density = self.sweep_density(rows, s, wp_col, order)
             for b, total, g in zip(out, totals, density):
                 b[sl] = c = cheb_antideriv(cheb_coeffs(g))
                 # the series at alpha = pi/2, i.e. s = 1, where every T_k is 1
                 total[sl] = c.sum(-1)
+            del density, g, c  # freed before the next block's grid is built
         return (out[0], totals[0], wp, *out[1:], *totals[1:])
 
-    def sweep_density(self, A, s, wp, order=0):
+    def sweep_density(self, sched, s, wp, order=0):
         """``(V_A * alpha'(s),)``: the s-derivative of the `build_sweep` series
         at abscissae ``s``; ``order=1`` appends the same with ``V_AA``."""
-        al = np.clip(self.warp_alpha(s, wp), 0.0, np.pi / 2.0)
-        jet = self.radius_sq(A, al, order + 1)[1:]
-        dal = self.warp_dalpha(s, wp)
+        alpha, dal = self.warp(s, wp)
+        jet = self.radius_jet(sched, alpha, order + 1)[1:]
         for v in jet:
-            v *= dal  # in place: a block-sized temporary less per block
+            v *= dal
         return jet
 
-    def solve_angle(self, A, b, total, wp, tau4):
+    def solve_angle(self, sched, b, total, wp, tau4):
         """Invert the quarter sweep: find alpha with Phi(alpha)/total = tau4.
 
-        The sweep's values on the Lobatto nodes increase with ``s`` (``V_A >
-        0`` and the warp is increasing), so counting the nodes below each
+        ``sched`` is the rows' `schedule` jet, to at least first order.  The
+        sweep's values on the Lobatto nodes increase with ``s`` (``V_A > 0``
+        and the warp is increasing), so counting the nodes below each
         target brackets its root between two adjacent nodes; the node values
         are built and searched one of `row_blocks` at a time.  Newton steps
         on the cubic Hermite through the node values and `sweep_density`
         give the start; a fixed number of safeguarded Newton steps on the
         series (a `clenshaw` value, `sweep_density` slope) finish, so a
-        point's result does not depend on its batch.  Exact hits are latched
-        so a converged iterate is never displaced by a stale bracket.
+        point's result does not depend on its batch.  An iterate whose
+        residual is within the series' rounding is latched, so neither a
+        stale bracket nor rounding noise displaces it; near the ends, where
+        the target may be below that noise, the start from the exact end
+        value is what resolves the angle.
         """
         target = tau4 * total
         M = b.shape[-1] - 2
@@ -452,6 +531,9 @@ class _CurveEngine:
         f_lo, f_hi = np.empty_like(target), np.empty_like(target)
         for sl in self.row_blocks(target.size):
             F = antideriv_nodes(b[sl])  # descending in j, like the nodes
+            # the end values are exact, and a target within the series'
+            # rounding of an end is then bracketed by the end's node
+            F[:, 0], F[:, -1] = total[sl], 0.0
             below = np.sum(F < target[sl, None], axis=-1)
             j[sl] = jb = M + 1 - np.clip(below, 1, M)  # first node below
             f_lo[sl] = np.take_along_axis(F, jb[:, None], axis=-1)[:, 0]
@@ -460,8 +542,9 @@ class _CurveEngine:
         # the cubic Hermite through the node values and slopes, less f_lo,
         # in t = (s - lo) / ds:  t * (g0 + t * (c2 + t * c3))
         ds, df, rhs = hi - lo, f_hi - f_lo, target - f_lo
-        ends, wp_col = np.stack([lo, hi], -1), tuple(x[:, None] for x in wp)
-        g0, g1 = (ds[:, None] * self.sweep_density(A[:, None], ends, wp_col)[0]).T
+        ends = np.stack([lo, hi], -1)
+        cols = [tuple(x[:, None] for x in v) for v in (sched, wp)]
+        g0, g1 = (ds[:, None] * self.sweep_density(cols[0], ends, cols[1])[0]).T
         c2, c3 = 3.0 * df - 2.0 * g0 - g1, g0 + g1 - 2.0 * df
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(df > 0.0, np.clip(rhs / df, 0.0, 1.0), 0.5)  # secant
@@ -470,18 +553,19 @@ class _CurveEngine:
                 t_new = t - res / (g0 + t * (2.0 * c2 + t * (3.0 * c3)))
                 t = np.where(np.isfinite(t_new), np.clip(t_new, 0.0, 1.0), t)
         s = lo + t * ds
+        noise = _SERIES_ROUNDOFF * total
         for _ in range(_NEWTON_STEPS):
             val = clenshaw(b, s) - target
             lo, hi = np.where(val < 0.0, s, lo), np.where(val > 0.0, s, hi)
-            der = self.sweep_density(A, s, wp)[0]
+            der = self.sweep_density(sched, s, wp)[0]
             with np.errstate(divide="ignore", invalid="ignore"):
                 s_new = s - val / der
             ok = np.isfinite(s_new) & (der > 0.0)
             # clamp overshoots onto the bracket: a root within an ulp of an
             # endpoint must be landed on, not bisected toward forever
             s_new = np.where(ok, np.clip(s_new, lo, hi), 0.5 * (lo + hi))
-            s = np.where(val == 0.0, s, s_new)
-        alpha = np.clip(self.warp_alpha(s, wp), 0.0, np.pi / 2.0)
+            s = np.where(np.abs(val) <= noise, s, s_new)
+        alpha = self.warp(s, wp)[0]
         alpha = np.where(tau4 <= 0.0, 0.0, np.where(tau4 >= 1.0, np.pi / 2.0, alpha))
         s = np.where(tau4 <= 0.0, -1.0, np.where(tau4 >= 1.0, 1.0, s))
         return alpha, s

@@ -17,6 +17,8 @@ determinant equal to 1 pointwise and not just on average.  The product map
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .curves import _check_areas, _engine, clenshaw
@@ -76,19 +78,23 @@ def _restore(arr, shape):
 
 
 def _fold_angle(t):
-    """Quarter-fold of the normalized angle ``t`` in [0, 1).
+    """Quarter-fold of the normalized angle ``t`` in (-1, 1).
 
     Returns the in-quadrant sweep fraction ``tau4`` in [0, 1], its
     orientation ``s4 = d(tau4)/d(4t)``, and the coordinate signs
-    ``(sq, sp)`` of the quadrant.
+    ``(sq, sp)`` of the quadrant.  A negative ``t`` folds as the mirror
+    image of ``-t`` in the midline, so a tiny one keeps its sign (``t + 1``
+    would round to 1), as `_fold_point` keeps that of a tiny ``p``.
     """
-    k = np.minimum((4.0 * t).astype(int), 3)
+    a = np.abs(t)
+    k = np.minimum((4.0 * a).astype(int), 3)
     branches = [k == 0, k == 1, k == 2, k == 3]
-    tau4 = np.select(branches, [4.0 * t, 2.0 - 4.0 * t, 4.0 * t - 2.0, 4.0 - 4.0 * t])
+    tau4 = np.select(branches, [4.0 * a, 2.0 - 4.0 * a, 4.0 * a - 2.0, 4.0 - 4.0 * a])
     s4 = np.select(branches, [1.0, -1.0, 1.0, -1.0])
     sq = np.select(branches, [1.0, -1.0, -1.0, 1.0])
     sp = np.select(branches, [1.0, 1.0, -1.0, -1.0])
-    return tau4, s4, sq, sp
+    flip = np.where(t < 0.0, -1.0, 1.0)
+    return tau4, s4 * flip, sq, sp * flip
 
 
 def _fold_point(q, p):
@@ -123,16 +129,18 @@ def _curve_block(eng, A, tau4, sq, sp, order):
     ``tau4 == 0``, ``pi/2`` at ``tau4 == 1``, as `solve_angle` would
     return), so only the rows off them build a sweep and solve for it.
     """
+    sched = eng.schedule(A, order + 1)  # shared by every step below
     if order == 0:
         alpha = np.where(tau4 <= 0.0, 0.0, np.pi / 2.0)
         off = np.flatnonzero((tau4 > 0.0) & (tau4 < 1.0))
         if off.size:
-            b, total, wp = eng.build_sweep(A[off])
-            alpha[off] = eng.solve_angle(A[off], b, total, wp, tau4[off])[0]
+            rows = tuple(x[off] for x in sched)
+            b, total, wp = eng.build_sweep(rows)
+            alpha[off] = eng.solve_angle(rows, b, total, wp, tau4[off])[0]
     else:
-        b, total, wp, *sweep_A = eng.build_sweep(A, order)
-        alpha, s = eng.solve_angle(A, b, total, wp, tau4)
-    jet = eng.radius_sq(A, alpha, order, angle=order > 0)
+        b, total, wp, *sweep_A = eng.build_sweep(sched, order)
+        alpha, s = eng.solve_angle(sched, b, total, wp, tau4)
+    jet = eng.radius_jet(sched, alpha, order, angle=order > 0)
     R = np.sqrt(jet[0] if order else jet)
     ca, sa = np.cos(alpha), np.sin(alpha)
     Q = np.pi / 2.0 + sq * R * ca
@@ -220,31 +228,48 @@ def level_curve_point(A, phi_frac, params: PackingParams):
     _check_areas(np.asarray(A, dtype=float), params.area_max)
     if not np.all(np.isfinite(phi_frac)):
         raise ValueError("sweep fraction must be finite")
-    (A_f, t_f), shape = _flatten(A, np.mod(phi_frac, 1.0))
+    # fmod is exact and keeps the sign of the fraction, which mod would round
+    (A_f, t_f), shape = _flatten(A, np.fmod(phi_frac, 1.0))
     eng = _engine(params)
     Q, P = _curve_eval(eng, A_f, _fold_angle(t_f))
     return _restore(Q, shape), _restore(P, shape)
 
 
-def _solve_area(eng, rho2, alpha, A_lim, require):
-    """Area ``A`` of the level curve through each point: ``V(A, alpha) = rho2``.
+@functools.lru_cache(maxsize=16)
+def _area_grid(params: PackingParams):
+    """`_solve_area`'s grid: its top area, its log-areas and their schedule.
 
-    One `radius_sq` call on a fixed grid of log-spaced areas, whose top node
-    is ``A_lim`` itself, rejects points on or outside the outermost curve
-    and brackets every other root between adjacent nodes (below the grid,
-    where the curves are round and ``V`` is proportional to ``A``, the
-    bracket is extrapolated with slope one).  A secant start in ``g = log V
-    - log rho2`` is refined by Newton steps in ``x = log A``; a step that
-    leaves the bracket is replaced by bisection.  A row freezes once a step
-    accepted inside its bracket is at most ``_LOG_AREA_TOL`` or it hits
-    ``g == 0``, so its iterates depend on that row alone and the result
-    does not depend on the batch.  The center ``rho2 == 0`` is solved for
-    the bottom node's radius; the caller sends it back to the center.
+    The grid depends on the parameters alone, so its schedule is computed
+    once per parameter set rather than on every `sigma_inv` call.
     """
+    A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
     xg = np.linspace(np.log(_AREA_FLOOR), np.log(A_lim), _AREA_GRID)
     Ag = np.exp(xg)
     Ag[-1] = A_lim  # exp(log(A_lim)) may be an ulp off
-    V = eng.radius_sq(Ag, alpha[:, None])
+    sched = _engine(params).schedule(Ag)
+    for x in (xg, *sched):
+        x.flags.writeable = False  # shared by every call
+    return A_lim, xg, sched
+
+
+def _solve_area(eng, rho2, alpha, grid, require):
+    """Area ``A`` of the level curve through each point: ``V(A, alpha) = rho2``.
+
+    One `radius_jet` pass on the fixed grid of log-spaced areas
+    (`_area_grid`), whose top node is ``A_lim`` itself, rejects points on or
+    outside the outermost curve and brackets every other root between
+    adjacent nodes (below the grid, where the curves are round and ``V`` is
+    proportional to ``A``, the bracket is extrapolated with slope one).  A
+    secant start in ``g = log V - log rho2`` is refined by Newton steps in
+    ``x = log A``; a step that leaves the bracket is replaced by bisection.
+    A row freezes once a step accepted inside its bracket is at most
+    ``_LOG_AREA_TOL`` or it hits ``g == 0``, so its iterates depend on that
+    row alone and the result does not depend on the batch.  The center
+    ``rho2 == 0`` is solved for the bottom node's radius; the caller sends
+    it back to the center.
+    """
+    A_lim, xg, sched = grid
+    V = eng.radius_jet(sched, alpha[:, None])
     require(rho2 < V[:, -1])
     rho2 = np.where(rho2 > 0.0, rho2, V[:, 0])
     lr = np.log(rho2)
@@ -303,12 +328,12 @@ def sigma_inv(Q, P, params: PackingParams):
     """
     (Qf, Pf), shape = _flatten(Q, P)
     eng = _engine(params)
-    A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
-    q, p = _blocked(lambda Qb, Pb: _inverse_block(eng, Qb, Pb, A_lim), [Qf, Pf])
+    grid = _area_grid(params)
+    q, p = _blocked(lambda Qb, Pb: _inverse_block(eng, Qb, Pb, grid), [Qf, Pf])
     return _restore(q, shape), _restore(p, shape)
 
 
-def _inverse_block(eng, Q, P, A_lim):
+def _inverse_block(eng, Q, P, grid):
     """`sigma_inv` on one block of flat points; errors name the input point."""
 
     def require(ok):
@@ -325,12 +350,12 @@ def _inverse_block(eng, Q, P, A_lim):
     # a non-finite point must not reach radius_sq
     require(np.isfinite(rho2))
     alpha_q = np.arctan2(np.abs(up), np.abs(xi))
-    A = _solve_area(eng, rho2, alpha_q, A_lim, require)
+    A = _solve_area(eng, rho2, alpha_q, grid, require)
     # the quarter sweep fraction, which symmetry fixes on the centre lines
     phi_q = np.where(up == 0.0, 0.0, 0.25)
     off = np.flatnonzero((up != 0.0) & (xi != 0.0))
     if off.size:
-        b, total, wp = eng.build_sweep(A[off])
+        b, total, wp = eng.build_sweep(eng.schedule(A[off], 1))
         s = np.clip(eng.warp_s(alpha_q[off], wp), -1.0, 1.0)
         phi_q[off] = clenshaw(b, s) / (4.0 * total)
     # unfold the quarter sweep into the quadrant of (xi, up)
@@ -391,10 +416,9 @@ def _curve_polyline(eng, A, nvert):
     sinh warp used by the quadrature, which concentrates them where the
     curve bends fastest.
     """
-    wp = eng.warp_params(np.asarray([A]))
-    s = np.linspace(-1.0, 1.0, nvert // 4 + 1)
-    al = np.clip(eng.warp_alpha(s, wp), 0.0, np.pi / 2.0)
-    R = np.sqrt(eng.radius_sq(np.full_like(al, A), al))
+    sched = eng.schedule(np.asarray([A]))
+    al = eng.warp(np.linspace(-1.0, 1.0, nvert // 4 + 1), eng.warp_params(sched))[0]
+    R = np.sqrt(eng.radius_jet(sched, al))
     xq, yq = R * np.cos(al), R * np.sin(al)
     x = np.concatenate([xq[:-1], -xq[::-1][:-1], -xq[:-1], xq[::-1][:-1]])
     y = np.concatenate([yq[:-1], yq[::-1][:-1], -yq[:-1], -yq[::-1][:-1]])

@@ -1,6 +1,8 @@
 """Level-curve schedule, superellipse area factor, and Chebyshev helpers."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -263,11 +265,53 @@ def test_jets_share_leading_outputs_bitwise(n, r):
     assert np.array_equal(VA1, VA4) and np.array_equal(VA1, VA5)
     assert np.array_equal(VAA2, VAA5)
     assert np.array_equal(Val3, Val4) and np.array_equal(Val3, Val5)
-    sweep0 = eng.build_sweep(A)
-    sweep1 = eng.build_sweep(A, 1)
+    sweep0 = eng.build_sweep(sched[1])
+    sweep1 = eng.build_sweep(sched[2], 1)
     assert len(sweep0) == 3 and len(sweep1) == 5
     for x, y in zip(sweep0[:2] + sweep0[2], sweep1[:2] + sweep1[2]):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_radius_matches_long_double(n, r):
+    # the log-sum kernel against (|cos/a|**m + |sin/h|**m)**(-2/m) in long
+    # double on the same schedule, from tiny to all but outermost curves and
+    # on and within 1e-14 of both axes, where the logs of cos and sin blow up
+    eng = _engine(make_params(n, r))
+    A = eng.area_max * np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-9])
+    alpha = np.array([0.0, 1e-14, 1e-8, 0.3, 0.7, 1.2, np.pi / 2.0 - 1e-8,
+                      np.pi / 2.0 - 1e-14, np.pi / 2.0])
+    A, alpha = (x.ravel() for x in np.meshgrid(A, alpha, indexing="ij"))
+    h, a, m = (x.astype(np.longdouble) for x in eng.schedule(A))
+    al = alpha.astype(np.longdouble)
+    ref = (np.abs(np.cos(al) / a) ** m + np.abs(np.sin(al) / h) ** m) ** (-2.0 / m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        V, V_A, V_AA, V_al = eng.radius_sq(A, alpha, 2, angle=True)
+    assert np.max(np.abs(V - ref) / ref) <= 1e-14
+    for x in (V_A, V_AA, V_al):
+        assert np.all(np.isfinite(x))
+    assert np.all(V_A > 0.0)
+    # on the axes the angle derivative vanishes by symmetry
+    assert np.all(V_al[alpha == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("order, bound_mib", [(0, 4.5), (1, 6.5)])
+def test_sweep_build_temporaries(order, bound_mib):
+    # the node grid is evaluated in place, in a handful of row-block
+    # buffers: an allocating kernel peaked at 9.1 (order 0) and 13.1 MiB
+    # (order 1) beyond the returned coefficients on these 2000 rows
+    eng = _engine(make_params(2, 0.8))
+    sched = eng.schedule(np.geomspace(1e-6, 0.999, 2000) * eng.area_max, order + 1)
+    eng.build_sweep(sched, order)  # scipy's cached DCT plan is no temporary
+    tracemalloc.start()
+    try:
+        out = eng.build_sweep(sched, order)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 3 + 2 * order
+    assert (peak - current) / 2**20 <= bound_mib
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,8 +355,9 @@ _SOLVE_CASES = [(2, 0.8), (3, 0.7), (4, 0.63), (6, 0.534)]
 @pytest.mark.parametrize("n, r", _SOLVE_CASES)
 def test_solve_angle_residual_at_roundoff(n, r):
     eng, A, tau = _solve_grid(n, r)
-    b, total, wp = eng.build_sweep(A)
-    _, s = eng.solve_angle(A, b, total, wp, tau)
+    sched = eng.schedule(A, 1)
+    b, total, wp = eng.build_sweep(sched)
+    _, s = eng.solve_angle(sched, b, total, wp, tau)
     assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 2e-15
 
 
@@ -320,9 +365,10 @@ def test_solve_angle_residual_at_roundoff(n, r):
 def test_solve_angle_hermite_start(n, r, monkeypatch):
     # the start alone, so a poor start cannot hide behind the Newton steps
     eng, A, tau = _solve_grid(n, r)
-    b, total, wp = eng.build_sweep(A)
+    sched = eng.schedule(A, 1)
+    b, total, wp = eng.build_sweep(sched)
     monkeypatch.setattr(curves, "_NEWTON_STEPS", 0)
-    _, s = eng.solve_angle(A, b, total, wp, tau)
+    _, s = eng.solve_angle(sched, b, total, wp, tau)
     assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 1e-7
 
 
@@ -330,7 +376,8 @@ def test_solve_angle_series_passes(p28, monkeypatch):
     eng = _engine(p28)
     rng = np.random.default_rng(3)
     A = rng.uniform(1e-6, 0.999, 64) * eng.area_max
-    b, total, wp = eng.build_sweep(A)
+    sched = eng.schedule(A, 1)
+    b, total, wp = eng.build_sweep(sched)
     passes = []
 
     def counting(name):
@@ -344,5 +391,5 @@ def test_solve_angle_series_passes(p28, monkeypatch):
 
     for name in ("antideriv_nodes", "clenshaw"):
         monkeypatch.setattr(curves, name, counting(name))
-    eng.solve_angle(A, b, total, wp, rng.random(64))
+    eng.solve_angle(sched, b, total, wp, rng.random(64))
     assert passes == ["antideriv_nodes", "clenshaw", "clenshaw"]

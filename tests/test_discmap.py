@@ -75,6 +75,24 @@ def test_midline_sign_survives_the_branch_cut(n, r):
         assert np.all(P[p >= 1e-16] > c)
 
 
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_angle_near_the_diameter_is_resolved(n, r):
+    # near alpha = 0 the quarter sweep is V_A(A, 0) * alpha + O(alpha**3)
+    # and its total is 1/2, so P - c = R * tau4 / (2 V_A(A, 0)) up to
+    # O(alpha**2); the target there lies below the series' own rounding
+    # (about 1e-16), which must not decide the angle
+    params = make_params(n, r)
+    eng = curves._engine(params)
+    for q in (0.5, -0.3, 0.05):
+        V, V_A = eng.radius_sq(np.array([np.pi * q * q]), np.zeros(1), 1)
+        for p in (1e-16, 1e-14, 1e-11):
+            tau4 = 4.0 * np.arctan2(p, abs(q)) / (2.0 * np.pi)
+            expected = np.sqrt(V[0]) * tau4 / (2.0 * V_A[0])
+            _, P = sigma(q, p, params)
+            assert abs((P - params.c) - expected) <= (
+                2.0 * np.spacing(params.c) + 1e-3 * expected)
+
+
 def test_reflection_equivariance(p28, rng):
     q = rng.uniform(-0.5, 0.5, 200)
     p = rng.uniform(-0.5, 0.5, 200)
@@ -199,14 +217,15 @@ def test_blocks_do_not_change_results(n, r, rng, monkeypatch):
         sigma_inv(Q, P_bad, params)
 
 
-def _sweep_areas(eng, monkeypatch):
-    """Record the areas of every row `build_sweep` is handed."""
+def _sweep_heights(eng, monkeypatch):
+    """Record the half-height ``h``, which grows strictly with the area, of
+    every row whose schedule `build_sweep` is handed."""
     seen = []
     build = eng.build_sweep
 
-    def recording(A, order=0):
-        seen.append(np.array(A, dtype=float).ravel())
-        return build(A, order)
+    def recording(sched, order=0):
+        seen.append(np.array(sched[0], dtype=float).ravel())
+        return build(sched, order)
 
     monkeypatch.setattr(eng, "build_sweep", recording)
     return lambda: np.concatenate(seen) if seen else np.empty(0)
@@ -216,7 +235,7 @@ def _sweep_areas(eng, monkeypatch):
 def test_axis_points_build_no_sweep(n, r, rng, monkeypatch):
     params = make_params(n, r)
     eng = curves._engine(params)
-    seen = _sweep_areas(eng, monkeypatch)
+    seen = _sweep_heights(eng, monkeypatch)
     # the diameter, as every certificate maps it: no sweep at all
     diam = np.zeros((50, 2 * n))
     diam[:, 0::2] = ball_points(rng, make_params(n, r, params.epsilon), 50)[:, :n]
@@ -231,7 +250,7 @@ def test_axis_points_build_no_sweep(n, r, rng, monkeypatch):
     q, p = pts[:, 0], pts[:, 1]
     off = (q != 0.0) & (p != 0.0)
     sigma(q, p, params)
-    assert np.array_equal(seen(), np.pi * (q * q + p * p)[off])
+    assert np.array_equal(seen(), eng.schedule(np.pi * (q * q + p * p)[off])[0])
     # the Jacobian needs the sweep's totals on the axes too: every row
     # (the centre with its stand-in area)
     sigma_jacobian(q, p, params)
@@ -285,6 +304,21 @@ def test_level_curve_point_axes(p28):
     Q0, P0 = level_curve_point(A, 0.0, p28)
     Q1, P1 = level_curve_point(A, 1.0, p28)
     assert Q1 == pytest.approx(Q0, abs=1e-12) and P1 == pytest.approx(P0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_negative_fraction_mirrors_positive(n, r):
+    # mod(-1e-17, 1) rounds to 1, which would fold onto the midline: the
+    # fraction -x is the mirror image of x in the midline, tiny x included
+    params = make_params(n, r)
+    A, c = 0.5 * params.area_max, params.c
+    x = np.array([1e-17, 1e-13, 0.1, 0.3, 0.6])
+    Q, P = level_curve_point(A, x, params)
+    Qm, Pm = level_curve_point(A, -x, params)
+    assert np.array_equal(Qm, Q)
+    assert np.max(np.abs((Pm - c) + (P - c))) <= 4.0 * np.spacing(c)
+    assert np.array_equal((Pm - c)[:2], -(P - c)[:2])
+    assert P[0] > c > Pm[0]
 
 
 def test_circle_image_lies_on_level_curve(p28):
@@ -368,7 +402,7 @@ def test_inverse_returns_axis_points_exactly(n, r, rng, monkeypatch):
     q, p = sigma_inv(*sigma(zero, s, params), params)
     assert np.all(q == 0.0) and np.array_equal(np.sign(p), np.sign(s))
     # symmetry fixes their sweep fraction, so no sweep is built for them
-    seen = _sweep_areas(curves._engine(params), monkeypatch)
+    seen = _sweep_heights(curves._engine(params), monkeypatch)
     sigma_inv(*sigma(np.append(s, zero), np.append(zero, s), params), params)
     assert seen().size == 0
 
