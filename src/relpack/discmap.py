@@ -17,8 +17,6 @@ determinant equal to 1 pointwise and not just on average.  The product map
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .curves import _check_areas, _engine, clenshaw
@@ -84,10 +82,13 @@ def _fold_angle(t):
     orientation ``s4 = d(tau4)/d(4t)``, and the coordinate signs
     ``(sq, sp)`` of the quadrant.  A negative ``t`` folds as the mirror
     image of ``-t`` in the midline, so a tiny one keeps its sign (``t + 1``
-    would round to 1), as `_fold_point` keeps that of a tiny ``p``.
+    would round to 1), as `_fold_point` keeps that of a tiny ``p``.  Its
+    quadrants are closed at the top, so on an axis it takes the quadrant
+    that ``t + 1`` would.
     """
     a = np.abs(t)
-    k = np.minimum((4.0 * a).astype(int), 3)
+    k4 = np.where(t < 0.0, np.ceil(4.0 * a) - 1.0, np.floor(4.0 * a))
+    k = np.clip(k4, 0.0, 3.0).astype(int)
     branches = [k == 0, k == 1, k == 2, k == 3]
     tau4 = np.select(branches, [4.0 * a, 2.0 - 4.0 * a, 4.0 * a - 2.0, 4.0 - 4.0 * a])
     s4 = np.select(branches, [1.0, -1.0, 1.0, -1.0])
@@ -235,21 +236,20 @@ def level_curve_point(A, phi_frac, params: PackingParams):
     return _restore(Q, shape), _restore(P, shape)
 
 
-@functools.lru_cache(maxsize=16)
-def _area_grid(params: PackingParams):
+def _area_grid(eng, params: PackingParams):
     """`_solve_area`'s grid: its top area, its log-areas and their schedule.
 
-    The grid depends on the parameters alone, so its schedule is computed
-    once per parameter set rather than on every `sigma_inv` call.
+    The grid depends on the parameters alone, so it is built once and kept
+    on their engine rather than on every `sigma_inv` call.
     """
-    A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
-    xg = np.linspace(np.log(_AREA_FLOOR), np.log(A_lim), _AREA_GRID)
-    Ag = np.exp(xg)
-    Ag[-1] = A_lim  # exp(log(A_lim)) may be an ulp off
-    sched = _engine(params).schedule(Ag)
-    for x in (xg, *sched):
-        x.flags.writeable = False  # shared by every call
-    return A_lim, xg, sched
+    grid = eng.__dict__.get("_area_grid")
+    if grid is None:
+        A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
+        xg = np.linspace(np.log(_AREA_FLOOR), np.log(A_lim), _AREA_GRID)
+        Ag = np.exp(xg)
+        Ag[-1] = A_lim  # exp(log(A_lim)) may be an ulp off
+        grid = eng._area_grid = (A_lim, xg, eng.schedule(Ag))
+    return grid
 
 
 def _solve_area(eng, rho2, alpha, grid, require):
@@ -328,7 +328,7 @@ def sigma_inv(Q, P, params: PackingParams):
     """
     (Qf, Pf), shape = _flatten(Q, P)
     eng = _engine(params)
-    grid = _area_grid(params)
+    grid = _area_grid(eng, params)
     q, p = _blocked(lambda Qb, Pb: _inverse_block(eng, Qb, Pb, grid), [Qf, Pf])
     return _restore(q, shape), _restore(p, shape)
 

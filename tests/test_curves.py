@@ -68,6 +68,20 @@ def test_clenshaw_reproduces_exp():
     assert np.array_equal(clenshaw(c, xs), c[0] + xs * b1 - b2)
 
 
+def test_clenshaw_few_points_match_the_batch():
+    # a few points are summed in Python floats: bitwise what the batch gives
+    rng = np.random.default_rng(7)
+    c = np.asfortranarray(rng.standard_normal((20, 300)) * 0.97 ** np.arange(300))
+    xs = np.concatenate([[-1.0, 1.0, 0.0, -0.0], rng.uniform(-1.0, 1.0, 16)])
+    full = clenshaw(c, xs)
+    for k in range(1, 9):
+        assert np.array_equal(clenshaw(c[-k:], xs[-k:]), full[-k:])
+        assert np.array_equal(clenshaw(c[k], xs[k]), full[k])
+    assert np.array_equal(clenshaw(c[0], xs[:5]), clenshaw(c[0], xs)[:5])
+    grid = xs[:6].reshape(2, 3)
+    assert np.array_equal(clenshaw(c[0], grid), clenshaw(c[0], xs)[:6].reshape(2, 3))
+
+
 def test_antiderivative_of_exp():
     xn = _nodes(40)
     c = cheb_coeffs(np.exp(xn))

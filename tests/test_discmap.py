@@ -319,6 +319,13 @@ def test_negative_fraction_mirrors_positive(n, r):
     assert np.max(np.abs((Pm - c) + (P - c))) <= 4.0 * np.spacing(c)
     assert np.array_equal((Pm - c)[:2], -(P - c)[:2])
     assert P[0] > c > Pm[0]
+    # on the axes -x folds into the quadrant of 1 - x, point for point
+    x = np.array([0.25, 0.5, 0.75])
+    for neg, pos in zip(discmap._fold_angle(-x), discmap._fold_angle(1.0 - x)):
+        assert np.array_equal(neg, pos)
+    Qm, Pm = level_curve_point(A, -x, params)
+    Q, P = level_curve_point(A, 1.0 - x, params)
+    assert np.array_equal(Qm, Q) and np.array_equal(Pm, P)
 
 
 def test_circle_image_lies_on_level_curve(p28):
@@ -377,13 +384,13 @@ def test_inverse_radius_passes(p28, monkeypatch, rng):
     pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 64)
     Q, P = sigma(pts[:, 0], pts[:, 1], p28)
     calls = [0]
-    radius_sq = eng.radius_sq
+    radius_jet = eng.radius_jet  # behind radius_sq and every sweep build
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return radius_sq(*args, **kwargs)
+        return radius_jet(*args, **kwargs)
 
-    monkeypatch.setattr(eng, "radius_sq", counting)
+    monkeypatch.setattr(eng, "radius_jet", counting)
     per_point = []
     for a, b in zip(Q, P):
         calls[0] = 0
