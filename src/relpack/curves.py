@@ -65,8 +65,8 @@ _SWEEP_ELEMS = 2**16
 # value; it only keeps ``u = -inf`` (on the axis ``alpha = 0``) out of the
 # products ``0 * u``.
 _U_FLOOR = -1e3
-# Up to this many points `clenshaw` sums in Python floats: a numpy call per
-# term costs about a microsecond whatever its size, a float step about 0.07.
+# Up to this many points `clenshaw` sums in Python floats: on a few points a
+# numpy call per term costs about a microsecond, a float step 0.07 per point.
 _FLOAT_POINTS = 8
 
 

@@ -242,7 +242,7 @@ def _area_grid(eng, params: PackingParams):
     The grid depends on the parameters alone, so it is built once and kept
     on their engine rather than on every `sigma_inv` call.
     """
-    grid = eng.__dict__.get("_area_grid")
+    grid = getattr(eng, "_area_grid", None)
     if grid is None:
         A_lim = np.pi * (params.r**2 - _BALL_EDGE_TOL)
         xg = np.linspace(np.log(_AREA_FLOOR), np.log(A_lim), _AREA_GRID)
