@@ -32,9 +32,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.optimize import brentq
-from scipy.special import digamma, gammaln, polygamma
 
 from .errors import ScheduleInfeasible
 from .params import PackingParams
@@ -60,6 +57,10 @@ _SERIES_ROUNDOFF = 2.0**-50
 # Grid values per row block of the sweep build and the node bracket: small
 # enough that a block's temporaries stay in cache.
 _SWEEP_ELEMS = 2**16
+# Node values per slice of the DCT-I in `cheb_coeffs` and `antideriv_nodes`:
+# the even extension and its spectrum, allocated once per sweep build or
+# angle solve, take 0.5 MiB beside a row block's grid.
+_DCT_ELEMS = 2**14
 # Floor of the log-ratio ``u`` in `radius_jet`'s derivative terms: below it
 # ``exp(m*u/2)`` is 0 for every exponent ``m >= 2``, so the floor changes no
 # value; it only keeps ``u = -inf`` (on the axis ``alpha = 0``) out of the
@@ -68,6 +69,14 @@ _U_FLOOR = -1e3
 # Up to this many points `clenshaw` sums in Python floats: on a few points a
 # numpy call per term costs about a microsecond, a float step 0.07 per point.
 _FLOAT_POINTS = 8
+# `_log_area_factor`: Gamma factors peeled off, then terms of the series in
+# 1/m; `_BERNOULLI` holds B_2 .. B_16 for `_hurwitz_zeta`.
+_GAMMA_PEEL = 8
+_GAMMA_TERMS = 21
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+# `_fit_exponent`: step cap, and the relative step in m**-2 that ends it.
+_FIT_STEPS = 60
+_FIT_TOL = 2.0**-50
 
 
 def area_factor(m):
@@ -75,20 +84,137 @@ def area_factor(m):
 
     Equals ``Gamma(1+1/m)**2 / Gamma(1+2/m)``, so a curve with half-axes
     ``(a, h)`` and exponent ``m`` encloses area ``4*a*h*area_factor(m)``.
-    Increases from ``pi/4`` at ``m = 2`` toward 1 as ``m -> inf``.
+    Increases from ``1/2`` at ``m = 1`` and ``pi/4`` at ``m = 2`` toward 1
+    as ``m -> inf``; NaN for ``m < 1``.
+    """
+    return np.exp(_log_area_factor(m)[0])
+
+
+def _hurwitz_zeta(s, a):
+    """``sum_{n >= 0} (n + a)**-s`` for an integer ``s >= 2``, in floats.
+
+    Sixteen terms summed smallest first, then Euler-Maclaurin's tail.
+    """
+    b = a + 16
+    tail = b ** (1 - s) / (s - 1) + 0.5 * b**-s
+    term = 0.5 * s * b ** (-s - 1)  # B_2i/(2i)! * s(s+1)..(s+2i-2) * b**(1-s-2i)
+    for i, bern in enumerate(_BERNOULLI, 1):
+        tail += bern * term
+        term *= (s + 2 * i - 1) * (s + 2 * i) / ((2 * i + 1) * (2 * i + 2) * b * b)
+    return sum((a + n) ** -s for n in reversed(range(16))) + tail
+
+
+# `_log_area_factor`'s series past the peeled factors: with ``z(k) =
+# _hurwitz_zeta(k, _GAMMA_PEEL + 1)``, the rest of ``D(x)`` is ``sum_k
+# (-1)**k z(k) (2 - 2**k) / k * x**k`` over ``k >= 2``.  Listed are the
+# coefficients of ``x**(k-2)`` in ``D/x**2``, ``D'/x`` and ``D''``.
+_K = np.arange(2, _GAMMA_TERMS + 2)
+_D = (
+    (-1.0) ** _K
+    * np.array([_hurwitz_zeta(int(k), _GAMMA_PEEL + 1) for k in _K])
+    * (2.0 - 2.0**_K)
+    / _K
+)
+_D_SERIES = [(c * _D).tolist() for c in (1, _K, _K * (_K - 1))]
+del _K, _D
+
+
+def _log_area_factor(m, order=0):
+    """``log area_factor(m)``, then its first and second m-derivatives.
+
+    With ``x = 1/m`` the log is ``D(x) = 2 lnGamma(1+x) - lnGamma(1+2x)``.
+    Gamma's Weierstrass product, ``1/Gamma(1+z) = exp(gamma*z) prod_j
+    (1 + z/j) exp(-z/j)``, splits ``D`` into its first `_GAMMA_PEEL`
+    factors, which give ``-log(prod_j (1 + x**2/(j*(j + 2x))))``, and the
+    power series of the rest (Euler's constant and the ``exp(-z/j)``
+    cancel).  That product, its x-derivatives ``-sum_j 2x/((j+x)(j+2x))``
+    and ``-sum_j (2j**2 - 4x**2)/((j+x)(j+2x))**2``, and the series carry
+    no cancellation, so all three are relative to a few ulps, also as ``m
+    -> inf``, where a difference of digammas would cancel.  The series
+    reaches roundoff for ``m >= 1`` (its derivatives for ``m >= 2``); below
+    ``m = 1`` the result is NaN.
+
+    Up to `_FLOAT_POINTS` values are evaluated one at a time in Python
+    floats, by the same steps in the same order as an array, so a value
+    does not depend on its batch (as in `clenshaw`).
     """
     m = np.asarray(m, dtype=float)
-    return np.exp(2.0 * gammaln(1.0 + 1.0 / m) - gammaln(1.0 + 2.0 / m))
+    if m.size > _FLOAT_POINTS:
+        x = np.divide(1.0, m, out=np.full(m.shape, np.nan), where=m >= 1.0)
+        return _log_area_factor_jet(x, order)
+    jets = [
+        _log_area_factor_jet(1.0 / v if v >= 1.0 else np.nan, order)
+        for v in m.ravel().tolist()
+    ]
+    return tuple(np.array(col).reshape(m.shape) for col in zip(*jets))
 
 
-def _dlog_area_factor(m, order=1):
-    """First, and at ``order=2`` second, m-derivative of ``log area_factor``."""
-    p1, p2 = 1.0 + 1.0 / m, 1.0 + 2.0 / m
-    dpsi = digamma(p2) - digamma(p1)
-    if order == 1:
-        return ((2.0 / m**2) * dpsi,)
-    dtri = 2.0 * polygamma(1, p2) - polygamma(1, p1)
-    return (2.0 / m**2) * dpsi, -(4.0 / m**3) * dpsi - (2.0 / m**4) * dtri
+def _log_area_factor_jet(x, order):
+    """`_log_area_factor` at ``x = 1/m``, a float or an array.
+
+    The augmented assignments update arrays in place and rebind floats, so
+    both take the same steps.
+    """
+    x2, tx = x * x, 2.0 * x
+    # e = prod_j (1 + t_j) - 1 with t_j = x**2/(j*(j + 2x)) > 0, summed as
+    # e += t_j*(1 + e); p1 and p2 gather the peeled terms of D' and D''
+    e, p1, p2 = 0.0 * x, 0.0 * x, 0.0 * x
+    for j in range(1, _GAMMA_PEEL + 1):
+        v = tx + j
+        t = x2 / (j * v)
+        t *= e + 1.0
+        e += t
+        if order >= 1:
+            uv = x + j
+            uv *= v
+            p1 += tx / uv
+        if order == 2:
+            uv *= uv
+            p2 += (2.0 * j * j - 4.0 * x2) / uv
+    series = [_horner(c, x) for c in _D_SERIES[: order + 1]]
+    jet = (x2 * series[0] - np.log1p(e),)
+    if order >= 1:
+        # d/dm = -x**2 d/dx and d2/dm2 = x**4 d2/dx2 + 2 x**3 d/dx
+        d1 = x * series[1] - p1
+        jet += (-x2 * d1,)
+    if order == 2:
+        d2 = series[2] - p2
+        jet += (x2 * x * (x * d2 + 2.0 * d1),)
+    return jet
+
+
+def _horner(c, x):
+    """``sum_k c[k] * x**k`` for a list ``c``, in place as above."""
+    y = 0.0 * x + c[-1]
+    for ck in reversed(c[:-1]):
+        y *= x
+        y += ck
+    return y
+
+
+def _fit_exponent(g):
+    """The exponent ``m`` in ``(2, _M_MAX)`` at which ``area_factor(m) = g``.
+
+    Newton steps on ``log area_factor(m) - log(g)`` in ``u = m**-2``, in
+    which it is nearly linear (``-pi**2/6 * u`` to leading order), from the
+    bracket's end ``m = 2``; a step that leaves the bracket bisects it.
+    """
+    target = float(np.log(g))
+    lo, hi = _M_MAX**-2, 0.25
+    u = hi
+    for _ in range(_FIT_STEPS):
+        m = u**-0.5
+        f, dm = _log_area_factor(m, 1)
+        f = float(f) - target
+        if f < 0.0:
+            hi = u
+        else:
+            lo = u
+        step = f / (-0.5 * m**3 * float(dm))  # d/du = -(m**3/2) d/dm
+        if f == 0.0 or abs(step) <= _FIT_TOL * u:
+            break
+        u = u - step if lo < u - step < hi else 0.5 * (lo + hi)
+    return m
 
 
 def _smoothstep(x, order=0):
@@ -137,7 +263,42 @@ def _check_areas(A, area_max):
 # ---------------------------------------------------------------------------
 
 
-def cheb_coeffs(F):
+def dct_work(M, rows):
+    """Work buffers for `cheb_coeffs` and `antideriv_nodes` on ``M+1`` nodes:
+    the even extension and its spectrum, for ``rows`` rows at most and at
+    most `_DCT_ELEMS` node values."""
+    rows = max(1, min(rows, _DCT_ELEMS // (M + 1)))
+    return np.empty((rows, 2 * M)), np.empty((rows, M + 1), dtype=complex)
+
+
+def _dct1(x, div, work=None, ends=1.0, out=None):
+    """Unnormalised DCT-I along the last axis, ``scipy.fft.dct(x, type=1)``,
+    divided by ``div``.
+
+    Each slice of rows is the real FFT of its even extension ``x_0 ..
+    x_M, x_{M-1} .. x_1``, built in the `dct_work` buffers ``work`` after
+    ``x_0`` and ``x_M`` are scaled by ``ends``; pocketfft takes the same
+    path inside scipy's transform, so the bits are the same.  A slice is
+    read before its result is written, so ``out`` may be ``x``.
+    """
+    M = x.shape[-1] - 1
+    rows = x.reshape(-1, M + 1)
+    out = np.empty(rows.shape) if out is None else out.reshape(rows.shape)
+    ext, spec = work or dct_work(M, len(rows))
+    for i in range(0, len(rows), len(ext)):
+        part = rows[i : i + len(ext)]
+        e, f = ext[: len(part)], spec[: len(part)]
+        e[:, : M + 1] = part
+        e[:, M + 1 :] = part[:, M - 1 : 0 : -1]
+        if ends != 1.0:
+            e[:, 0] *= ends
+            e[:, M] *= ends
+        np.fft.rfft(e, out=f)
+        np.divide(f.real, div, out=out[i : i + len(part)])
+    return out.reshape(x.shape)
+
+
+def cheb_coeffs(F, work=None, out=None):
     """Chebyshev coefficients from values at Lobatto nodes.
 
     Parameters
@@ -145,15 +306,17 @@ def cheb_coeffs(F):
     F : ndarray, shape (..., M+1)
         Values at ``x_j = cos(pi*j/M)``, ordered from ``x=1`` down to
         ``x=-1``.
+    work : tuple of ndarray, optional
+        `dct_work` buffers to compute the transform in.
+    out : ndarray, optional
+        Where to write ``c``: a 2-d array of ``F``'s shape, possibly ``F``.
 
     Returns
     -------
     c : ndarray, shape (..., M+1)
         Coefficients with ``f(x) = sum_k c[k] * T_k(x)``.
     """
-    M = F.shape[-1] - 1
-    c = dct(F, type=1, axis=-1)
-    c /= M
+    c = _dct1(F, F.shape[-1] - 1, work, out=out)
     c[..., 0] *= 0.5
     c[..., -1] *= 0.5
     return c
@@ -165,31 +328,26 @@ def cheb_antideriv(c):
     b = np.empty(c.shape[:-1] + (M + 2,))
     # b_k = (c_{k-1} - c_{k+1}) / (2k) for k >= 1; c_0 enters doubled because
     # the series convention above stores it halved.
-    b[..., 1:] = c
-    b[..., 1] += c[..., 0]
-    b[..., 1:M] -= c[..., 2:]
-    k = np.arange(1, M + 2)
-    b[..., 1:] /= 2.0 * k
-    sign = (-1.0) ** k
-    b[..., 0] = -np.sum(b[..., 1:] * sign, axis=-1)
+    np.subtract(c[..., 1 : M - 1], c[..., 3:], out=b[..., 2:M])
+    b[..., 1] = (c[..., 0] + c[..., 0]) - c[..., 2]
+    b[..., M:] = c[..., M - 1 :]
+    b[..., 1:] /= 2.0 * np.arange(1, M + 2)
+    # the constant that makes the series vanish at x = -1, where T_k = (-1)**k
+    b[..., 0] = np.sum(b[..., 1::2], axis=-1) - np.sum(b[..., 2::2], axis=-1)
     return b
 
 
-def antideriv_nodes(b):
+def antideriv_nodes(b, work=None):
     """Values of a `cheb_antideriv` series at its integrand's Lobatto nodes.
 
     ``b`` has ``M+2`` coefficients and the nodes are ``x_j = cos(pi*j/M)``,
     ``j = 0..M``.  The first ``M+1`` terms take one DCT-I (the inverse of
-    `cheb_coeffs`); the last adds in closed form, ``T_{M+1}(x_j) =
-    (-1)**j * x_j``.
+    `cheb_coeffs`, in the `dct_work` buffers ``work`` if given, as there);
+    the last adds in closed form, ``T_{M+1}(x_j) = (-1)**j * x_j``.
     """
     M = b.shape[-1] - 2
-    c = b[..., : M + 1].copy()
-    c[..., 0] *= 2.0
-    c[..., -1] *= 2.0
     j = np.arange(M + 1)
-    F = dct(c, type=1, axis=-1, overwrite_x=True)
-    F *= 0.5
+    F = _dct1(b[..., : M + 1], 2.0, work, ends=2.0)
     F += b[..., M + 1 :] * ((-1.0) ** j * np.cos(np.pi * j / M))
     return F
 
@@ -209,9 +367,13 @@ def clenshaw(c, x):
         vals = [_clenshaw_float(ck, xk) for ck, xk in zip(rows.tolist(), xs)]
         return np.array(vals).reshape(shape)
     x2 = 2.0 * x
-    b1 = b2 = np.zeros_like(x)
+    # three buffers in turn: the new term and the two before it
+    b0, b1, b2 = np.empty(shape), np.zeros(shape), np.zeros(shape)
     for k in range(c.shape[-1] - 1, 0, -1):
-        b1, b2 = c[..., k] + x2 * b1 - b2, b1
+        np.multiply(x2, b1, out=b0)
+        b0 += c[..., k]
+        b0 -= b2
+        b0, b1, b2 = b2, b0, b1
     return c[..., 0] + x * b1 - b2
 
 
@@ -265,9 +427,7 @@ class _CurveEngine:
                 f"exponent cap {_M_MAX:g}; epsilon={self.eps!r} is too small"
             )
         else:
-            self.m_end = brentq(
-                lambda m: area_factor(m) - g_end, 2.0, _M_MAX, xtol=1e-12
-            )
+            self.m_end = _fit_exponent(g_end)
         lam_end = self.area_max / (self.area_max + np.pi * self.eps)
         self.m_scale = 2.0 + (self.m_end - 2.0) / _smoothstep(lam_end)[0]
         self.ncheb = int(max(192, 2.5 * self.m_end + 48))
@@ -316,13 +476,14 @@ class _CurveEngine:
         lam = A / (A + B)
         step = _smoothstep(lam, order)
         m = 2.0 + (self.m_scale - 2.0) * step[0]
-        a = A / (4.0 * h * area_factor(m))
+        lg = _log_area_factor(m, order)
+        a = A / (4.0 * h * np.exp(lg[0]))
         if order == 0:
             return h, a, m
         lnhp = height[1]
         lamp = B / (A + B) ** 2
         mp = (self.m_scale - 2.0) * step[1] * lamp
-        g = _dlog_area_factor(m, order)
+        g = lg[1:]
         lnap = 1.0 / A - lnhp - g[0] * mp
         first = (h * lnhp, a * lnap, mp)
         if order == 1:
@@ -512,12 +673,15 @@ class _CurveEngine:
         # column-major, so `clenshaw` reads contiguous columns without a copy
         out = [np.empty((N, self.ncheb + 2), order="F") for _ in range(order + 1)]
         totals = [np.empty(N) for _ in range(order + 1)]
+        work = dct_work(self.ncheb, N)
         for sl in self.row_blocks(N):
             rows = tuple(x[sl, None] for x in sched)
             wp_col = tuple(x[sl, None] for x in wp)
             density = self.sweep_density(rows, s, wp_col, order)
             for b, total, g in zip(out, totals, density):
-                b[sl] = c = cheb_antideriv(cheb_coeffs(g))
+                # the density grid is not needed again: its coefficients
+                # are written over it
+                b[sl] = c = cheb_antideriv(cheb_coeffs(g, work, g))
                 # the series at alpha = pi/2, i.e. s = 1, where every T_k is 1
                 total[sl] = c.sum(-1)
             del density, g, c  # freed before the next block's grid is built
@@ -553,8 +717,9 @@ class _CurveEngine:
         M = b.shape[-1] - 2
         j = np.empty(target.shape, dtype=np.intp)
         f_lo, f_hi = np.empty_like(target), np.empty_like(target)
+        work = dct_work(M, target.size)
         for sl in self.row_blocks(target.size):
-            F = antideriv_nodes(b[sl])  # descending in j, like the nodes
+            F = antideriv_nodes(b[sl], work)  # descending in j, like the nodes
             # the end values are exact, and a target within the series'
             # rounding of an end is then bracketed by the end's node
             F[:, 0], F[:, -1] = total[sl], 0.0

@@ -2,12 +2,33 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relpack
 from relpack import cli, make_params
 from relpack.cli import main
+
+
+def test_cold_start_imports_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that imports
+    # the package and its command line has loaded no scipy module
+    src = str(Path(relpack.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, relpack, relpack.cli; print(relpack.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.splitlines()
+    assert Path(out[0]).resolve() == Path(relpack.__file__).resolve()
+    assert out[1] == "[]"
 
 
 def test_verify_writes_report(tmp_path, capsys):

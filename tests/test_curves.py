@@ -1,6 +1,7 @@
 """Level-curve schedule, superellipse area factor, and Chebyshev helpers."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,12 +13,17 @@ from relpack import ScheduleInfeasible, level_curve, make_params, shape_schedule
 from relpack import curves
 from relpack.curves import (
     _engine,
+    _fit_exponent,
+    _log_area_factor,
     antideriv_nodes,
     area_factor,
     cheb_antideriv,
     cheb_coeffs,
     clenshaw,
+    dct_work,
 )
+
+_ULP = np.finfo(float).eps
 
 # ---------------------------------------------------------------------------
 # area factor
@@ -28,6 +34,68 @@ def test_area_factor_closed_forms():
     assert area_factor(2.0) == pytest.approx(math.pi / 4.0, rel=1e-14)
     assert area_factor(1.0) == pytest.approx(0.5, rel=1e-14)
     assert area_factor(1e6) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_area_factor_below_one_is_nan():
+    # the series is summed for m >= 1 only; a smaller exponent gets NaN
+    g = area_factor(np.array([0.0, 0.5, 0.999, 1.0, np.nan]))
+    assert np.isnan(g[[0, 1, 2, 4]]).all() and g[3] == 0.5
+
+
+def _relative(values, refs):
+    return np.array([float(abs(v / r - 1)) for v, r in zip(values, refs)])
+
+
+def test_area_factor_matches_mpmath():
+    # 40-digit oracle for Gamma(1+1/m)**2/Gamma(1+2/m) and the m-derivatives
+    # of its log, (2/m**2) dpsi and -(4/m**3) dpsi - (2/m**4) dtri, with
+    # dpsi = psi(1+2/m) - psi(1+1/m) and dtri = 2 psi'(1+2/m) - psi'(1+1/m)
+    mp = pytest.importorskip("mpmath")
+    m = np.geomspace(2.0, 512.0, 400)
+    jet = _log_area_factor(m, 2)
+    with mp.workdps(40):
+        refs = []
+        for mk in m.tolist():
+            p1, p2 = 1 + 1 / mp.mpf(mk), 1 + 2 / mp.mpf(mk)
+            dpsi = mp.digamma(p2) - mp.digamma(p1)
+            dtri = 2 * mp.polygamma(1, p2) - mp.polygamma(1, p1)
+            refs.append((mp.exp(2 * mp.loggamma(p1) - mp.loggamma(p2)),
+                         2 / mk**2 * dpsi,
+                         -4 / mk**3 * dpsi - 2 / mk**4 * dtri))
+        refs = list(zip(*refs))
+        assert _relative(area_factor(m), refs[0]).max() <= 1e-15
+        for order in (1, 2):
+            assert _relative(jet[order], refs[order]).max() <= 6 * _ULP
+    # the first order is the second's leading part; a few points are summed
+    # in floats, with the bits of the batch
+    assert all(np.array_equal(x, y) for x, y in zip(_log_area_factor(m, 1), jet))
+    for k in (0, 57, 399):
+        assert all(np.array_equal(x, y[k]) for x, y in zip(_log_area_factor(m[k], 2), jet))
+    assert np.array_equal(_log_area_factor(m[:8], 2)[2], jet[2][:8])
+
+
+def test_area_factor_matches_scipy():
+    sp = pytest.importorskip("scipy.special")
+    m = np.geomspace(2.0, 512.0, 400)
+    p1, p2 = 1.0 + 1.0 / m, 1.0 + 2.0 / m
+    dpsi = sp.digamma(p2) - sp.digamma(p1)
+    dtri = 2.0 * sp.polygamma(1, p2) - sp.polygamma(1, p1)
+    g1 = (2.0 / m**2) * dpsi
+    g2 = -(4.0 / m**3) * dpsi - (2.0 / m**4) * dtri
+    ref = np.exp(2.0 * sp.gammaln(p1) - sp.gammaln(p2))
+    assert np.max(np.abs(area_factor(m) / ref - 1.0)) <= 1e-15
+    # scipy's difference of digammas cancels as m grows: against the oracle
+    # above it is 1.0e-13 off near m = 460, so the derivatives agree to that
+    _, d1, d2 = _log_area_factor(m, 2)
+    assert np.max(np.abs(d1 / g1 - 1.0)) <= 2e-13
+    assert np.max(np.abs(d2 / g2 - 1.0)) <= 2e-13
+
+
+@pytest.mark.parametrize("g", [0.7854, 0.8, 0.9, 0.99, 0.999, 0.99999])
+def test_fit_exponent_solves_the_area_factor(g):
+    m = _fit_exponent(g)
+    assert 2.0 < m < 512.0
+    assert area_factor(m) == pytest.approx(g, rel=4 * _ULP)
 
 
 def test_area_factor_monotone():
@@ -93,6 +161,66 @@ def test_antiderivative_of_exp():
     assert np.max(np.abs(clenshaw(b, xs) - exact)) < 1e-14
     # on the integrand's own nodes, through one DCT-I
     assert np.max(np.abs(antideriv_nodes(b) - (np.exp(xn) - np.exp(-1.0)))) < 1e-14
+
+
+def _dct1_cosine_sum(x):
+    """DCT-I by its definition, ``y_k = x_0 + (-1)**k x_M + 2 sum_{0<j<M}
+    x_j cos(pi j k / M)``."""
+    M = x.shape[-1] - 1
+    j = np.arange(M + 1)
+    w = np.full(M + 1, 2.0)
+    w[[0, -1]] = 1.0
+    return (x * w) @ np.cos(np.pi * np.outer(j, j) / M)
+
+
+def test_cheb_transforms_match_cosine_sums():
+    rng = np.random.default_rng(11)
+    M = 12
+    F = rng.standard_normal((5, M + 1))
+    ref = _dct1_cosine_sum(F) / M
+    ref[:, [0, -1]] *= 0.5
+    assert np.max(np.abs(cheb_coeffs(F) - ref)) <= 1e-14
+    # node values sum_k b_k T_k(x_j), with T_k(x_j) = cos(pi k j / M)
+    b = rng.standard_normal((5, M + 2))
+    T = np.cos(np.pi * np.outer(np.arange(M + 1), np.arange(M + 2)) / M)
+    assert np.max(np.abs(antideriv_nodes(b) - b @ T.T)) <= 1e-14
+
+
+@pytest.mark.parametrize("rows, M", [(339, 192), (132, 492)])
+def test_cheb_transforms_match_scipy(rows, M):
+    # the row blocks of n=2 and n=6 sweeps, bitwise
+    fft = pytest.importorskip("scipy.fft")
+    rng = np.random.default_rng(M)
+    F = rng.standard_normal((rows, M + 1))
+    ref = fft.dct(F, type=1, axis=-1)
+    ref /= M
+    ref[:, 0] *= 0.5
+    ref[:, -1] *= 0.5
+    assert np.array_equal(cheb_coeffs(F), ref)
+    assert np.array_equal(cheb_coeffs(F, dct_work(M, rows)), ref)
+    b = np.asfortranarray(rng.standard_normal((rows, M + 2)))  # as swept
+    c = b[:, : M + 1].copy()
+    c[:, [0, -1]] *= 2.0
+    ref = fft.dct(c, type=1, axis=-1)
+    ref *= 0.5
+    j = np.arange(M + 1)
+    ref += b[:, M + 1 :] * ((-1.0) ** j * np.cos(np.pi * j / M))
+    assert np.array_equal(antideriv_nodes(b, dct_work(M, rows)), ref)
+
+
+def test_cheb_transform_rows_do_not_depend_on_the_block():
+    # 339 rows take several of the transform's work slices
+    rng = np.random.default_rng(5)
+    M = 192
+    F = rng.standard_normal((339, M + 1))
+    b = np.asfortranarray(rng.standard_normal((339, M + 2)))
+    c, nodes = cheb_coeffs(F, dct_work(M, 339)), antideriv_nodes(b, dct_work(M, 339))
+    for i in (0, 83, 84, 200, 338):
+        assert np.array_equal(cheb_coeffs(F[i]), c[i])
+        assert np.array_equal(antideriv_nodes(b[i]), nodes[i])
+    # written over its input, as the sweep build does
+    G = F.copy()
+    assert np.array_equal(cheb_coeffs(G, dct_work(M, 339), G), c) and np.array_equal(G, c)
 
 
 def test_cheb_batch_axis():
@@ -184,6 +312,18 @@ def test_infeasible_near_bound_blames_the_height_blend():
         shape_schedule(1.0, p)
     assert "height blend" in str(info.value)
     assert "exponent cap" not in str(info.value)
+
+
+def test_infeasible_exponent_names_the_cap(monkeypatch):
+    # n=2, r=0.8 needs m = 26.16 at its outermost curve
+    monkeypatch.setattr(curves, "_M_MAX", 20.0)
+    with pytest.raises(ScheduleInfeasible) as info:
+        curves._CurveEngine(make_params(2, 0.8))
+    assert re.fullmatch(
+        r"outermost curve needs area factor 0\.9\d{8}, beyond the exponent "
+        r"cap 20; epsilon=0\.0\d+ is too small",
+        str(info.value),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +454,11 @@ def test_radius_matches_long_double(n, r):
 def test_sweep_build_temporaries(order, bound_mib):
     # the node grid is evaluated in place, in a handful of row-block
     # buffers: an allocating kernel peaked at 9.1 (order 0) and 13.1 MiB
-    # (order 1) beyond the returned coefficients on these 2000 rows
+    # (order 1) beyond the returned coefficients on these 2000 rows.  The
+    # DCT work buffers, 0.5 MiB, are allocated by each call and counted.
     eng = _engine(make_params(2, 0.8))
     sched = eng.schedule(np.geomspace(1e-6, 0.999, 2000) * eng.area_max, order + 1)
-    eng.build_sweep(sched, order)  # scipy's cached DCT plan is no temporary
+    eng.build_sweep(sched, order)  # warm-up: numpy caches its FFT plans
     tracemalloc.start()
     try:
         out = eng.build_sweep(sched, order)
