@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from relpack import level_curve, level_curve_point, make_params
+from relpack import level_curve_point, make_params, shape_schedule
 
 
 def main(argv=None):
@@ -29,9 +29,9 @@ def main(argv=None):
     print("#   area     halfwidth  halfheight  exponent", file=sys.stderr)
     for j in range(1, args.circles + 1):
         u = (j / args.circles) ** 2 * params.r**2 * (1.0 - 1e-12)
-        lc = level_curve(np.pi * u, params)
-        print(f"# {lc.A:8.5f}  {lc.halfwidth:9.6f}  {lc.halfheight:9.6f} "
-              f"{lc.exponent:9.4f}", file=sys.stderr)
+        A = np.pi * u
+        h, a, m = shape_schedule(A, params)
+        print(f"# {A:8.5f}  {a:9.6f}  {h:9.6f} {m:9.4f}", file=sys.stderr)
 
     t = np.linspace(0.0, 1.0, args.points + 1)
     fh = open(args.out, "w", newline="") if args.out else sys.stdout

@@ -18,12 +18,11 @@ from .chart import (
     full_embedding,
     moment_map,
 )
-from .curves import LevelCurve, area_factor, level_curve, shape_schedule
+from .curves import area_factor, shape_schedule
 from .discmap import (
     enclosed_area,
     level_curve_point,
     phi,
-    property_margins,
     sigma,
     sigma_inv,
     sigma_jacobian,
@@ -39,7 +38,7 @@ from .errors import (
     RelpackError,
     ScheduleInfeasible,
 )
-from .params import PackingParams, area_budget_slack, make_params, max_epsilon
+from .params import PackingParams, make_params, max_epsilon
 from .verify import (
     CheckRecord,
     MapSet,
@@ -55,9 +54,6 @@ __all__ = [
     "PackingParams",
     "make_params",
     "max_epsilon",
-    "area_budget_slack",
-    "LevelCurve",
-    "level_curve",
     "shape_schedule",
     "area_factor",
     "sigma",
@@ -66,7 +62,6 @@ __all__ = [
     "level_curve_point",
     "enclosed_area",
     "phi",
-    "property_margins",
     "DomainSpec",
     "moment_map",
     "chart_j",

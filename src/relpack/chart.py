@@ -41,12 +41,10 @@ class DomainSpec:
 
     ``box`` is the open cube ``(0, pi)^n`` of angle coordinates, ``simplex``
     the open action simplex ``{P_i > 0, sum P_i < 1}``, and the chart domain
-    is their product.  ``line_area`` records the normalization: each complex
-    line of the target carries symplectic area ``pi``.
+    is their product.
     """
 
     n: int
-    line_area: float = np.pi
 
     def _split(self, coords):
         coords = np.asarray(coords, dtype=float)
@@ -69,12 +67,6 @@ class DomainSpec:
     def in_chart_domain(self, coords):
         """True on the product of `in_box` and `in_simplex` (the chart's K')."""
         return self.in_box(coords) & self.in_simplex(coords)
-
-    def on_torus_level(self, coords, tol=0.0):
-        """True where every action equals ``1/(n+1)`` within ``tol``."""
-        _, P = self._split(coords)
-        c = 1.0 / (self.n + 1)
-        return np.all(np.abs(P - c) <= tol, axis=-1)
 
 
 def moment_map(z):

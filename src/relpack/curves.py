@@ -20,28 +20,22 @@ area oracle) consumes this module through a per-parameter engine holding the
 fitted schedule and Chebyshev quadrature nodes.  The engine writes each
 quantity once, as a jet whose ``order`` argument selects how many
 ``A``-derivatives to append: ``schedule`` for ``(h, a, m)``, ``radius_jet``
-for the squared polar radius (``radius_sq`` from an area), and
-``build_sweep`` for the area-sweep series, so the map, its inverse and its
-Jacobian evaluate the same formulas.  The last two take a row's schedule
-jet, so a map call computes it once for every step.
+for the squared polar radius, and ``build_sweep`` for the area-sweep series,
+so the map, its inverse and its Jacobian evaluate the same formulas.  The
+last two take a row's schedule jet, so a map call computes it once for
+every step.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScheduleInfeasible
 from .params import PackingParams
 
-__all__ = [
-    "LevelCurve",
-    "area_factor",
-    "shape_schedule",
-    "level_curve",
-]
+__all__ = ["area_factor", "shape_schedule"]
 
 # Sharpness of the smooth minimum blending the round-regime height ``rho``
 # with the band cap; also the largest exponent the schedule may request.
@@ -497,24 +491,18 @@ class _CurveEngine:
 
     # -- curve geometry -----------------------------------------------------
 
-    def radius_sq(self, A, alpha, order=0, angle=False):
+    def radius_jet(self, sched, alpha, order=0, angle=False):
         """Squared distance ``V`` from the center at quarter angle ``alpha``.
 
-        ``alpha`` is an array measured in the first quadrant of centered
-        coordinates; the full curve follows by reflecting in both axes.
-        Returns ``V`` at ``order=0``, ``(V, V_A)`` at ``order=1`` (``V_A >
-        0`` iff the curves are nested) and ``(V, V_A, V_AA)`` at
-        ``order=2``; ``angle=True`` appends ``V_alpha``.
-        """
-        return self.radius_jet(self.schedule(A, order), alpha, order, angle)
-
-    def radius_jet(self, sched, alpha, order=0, angle=False):
-        """`radius_sq` of the rows whose `schedule` jet is ``sched``.
-
-        ``sched`` may carry more derivatives than ``order`` uses, so one
-        schedule serves every jet of a row.  With ``x = log(a**2/cos**2)``
-        and ``y = log(h**2/sin**2)``, ``V = (exp(-m*x/2) +
-        exp(-m*y/2))**(-2/m)``.  Both logs come from one tangent, as
+        ``sched`` is the rows' `schedule` jet, to at least ``order``; it may
+        carry more derivatives than ``order`` uses, so one schedule serves
+        every jet of a row.  ``alpha`` is measured in the first quadrant of
+        centered coordinates; the full curve follows by reflecting in both
+        axes.  Returns ``V`` at ``order=0``, ``(V, V_A)`` at ``order=1``
+        (``V_A > 0`` iff the curves are nested) and ``(V, V_A, V_AA)`` at
+        ``order=2``; ``angle=True`` appends ``V_alpha``.  With ``x =
+        log(a**2/cos**2)`` and ``y = log(h**2/sin**2)``, ``V = (exp(-m*x/2)
+        + exp(-m*y/2))**(-2/m)``.  Both logs come from one tangent, as
         ``log1p(t**2)`` and ``log1p(t**-2)``, each free of cancellation on
         its half of the quadrant, and the ratio ``e = exp(-m*|x - y|/2)`` of
         the smaller term to the larger gives the log-sum and both weights.
@@ -658,7 +646,7 @@ class _CurveEngine:
         Returns ``(b, total, wp)``: Chebyshev coefficients of ``s ->
         integral_0^alpha(s) dV/dA``, its value at ``alpha = pi/2``, and the
         warp parameters.  Since the enclosed area equals twice the integral
-        of radius_sq over a quarter period, ``total`` is exactly 1/2; the
+        of ``V`` over a quarter period, ``total`` is exactly 1/2; the
         computed value is kept as the normalizer so that quadrature error
         cancels from the sweep fraction.  ``order=1`` appends ``(bA,
         totalA)``, the same integral of ``d2V/dA2`` over the same warped
@@ -770,27 +758,6 @@ def _engine(params: PackingParams) -> _CurveEngine:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelCurve:
-    """Shape data of one level curve.
-
-    Attributes
-    ----------
-    A : float
-        Enclosed area.
-    halfheight, halfwidth, exponent : float
-        The ``(h, a, m)`` schedule values at this area.
-    center : tuple of float
-        Common center ``(pi/2, c)`` of the family.
-    """
-
-    A: float
-    halfheight: float
-    halfwidth: float
-    exponent: float
-    center: tuple[float, float]
-
-
 def shape_schedule(A, params: PackingParams):
     """Half-height, half-width and exponent of the level curve at area ``A``.
 
@@ -822,14 +789,3 @@ def shape_schedule(A, params: PackingParams):
         return float(h), float(a), float(m)
     return h, a, m
 
-
-def level_curve(A: float, params: PackingParams) -> LevelCurve:
-    """Bundle the schedule at one area into a `LevelCurve` record."""
-    h, a, m = shape_schedule(float(A), params)
-    return LevelCurve(
-        A=float(A),
-        halfheight=h,
-        halfwidth=a,
-        exponent=m,
-        center=(np.pi / 2.0, params.c),
-    )

@@ -30,7 +30,6 @@ __all__ = [
     "level_curve_point",
     "enclosed_area",
     "phi",
-    "property_margins",
 ]
 
 _BALL_EDGE_TOL = 1e-14
@@ -43,6 +42,14 @@ _AREA_GRID = 32
 _AREA_FLOOR = 1e-18
 _AREA_STEPS = 24
 _LOG_AREA_TOL = 1e-10
+# Quadrants counterclockwise from q, p > 0: the angle fraction t0 where each
+# meets the midline and its coordinate signs (sq, sp); in one, the sweep
+# fraction is tau4 = 4 s4 (t - t0) with s4 = sq*sp, so t = t0 + s4 tau4/4.
+_QUADRANTS = np.array([[0.0, 1.0, 1.0], [0.5, -1.0, 1.0], [0.5, -1.0, -1.0],
+                       [1.0, 1.0, -1.0]])
+# q**2 + p**2 at or below which a point maps as the centre (its image was
+# (pi/2, c) anyway), before the schedule's A-derivatives overflow as A -> 0.
+_CENTRE_U = 1e-40
 
 
 def _flatten(*arrays):
@@ -75,6 +82,18 @@ def _restore(arr, shape):
     return arr.reshape(shape)
 
 
+def _quadrant(x, y):
+    """The `_QUADRANTS` row ``(t0, sq, sp)`` of each point ``(x, y)``, by signs.
+
+    The quadrants are closed at the top: a point on an axis takes the one
+    of ``t = 0, 0.25, 0.5, 0.75``, and the centre the first.
+    """
+    neg_x = (x < 0.0) | ((x == 0.0) & (y > 0.0))
+    neg_y = (y < 0.0) | ((y == 0.0) & (x < 0.0))
+    # (+, +) -> 0, (-, +) -> 1, (-, -) -> 2, (+, -) -> 3
+    return _QUADRANTS.take(3 * neg_y ^ neg_x, axis=0).T
+
+
 def _fold_angle(t):
     """Quarter-fold of the normalized angle ``t`` in (-1, 1).
 
@@ -82,18 +101,15 @@ def _fold_angle(t):
     orientation ``s4 = d(tau4)/d(4t)``, and the coordinate signs
     ``(sq, sp)`` of the quadrant.  A negative ``t`` folds as the mirror
     image of ``-t`` in the midline, so a tiny one keeps its sign (``t + 1``
-    would round to 1), as `_fold_point` keeps that of a tiny ``p``.  Its
-    quadrants are closed at the top, so on an axis it takes the quadrant
-    that ``t + 1`` would.
+    would round to 1), as `_fold_point` keeps that of a tiny ``p``; on an
+    axis it takes the quadrant that ``t + 1`` would.
     """
-    a = np.abs(t)
-    k4 = np.where(t < 0.0, np.ceil(4.0 * a) - 1.0, np.floor(4.0 * a))
-    k = np.clip(k4, 0.0, 3.0).astype(int)
-    branches = [k == 0, k == 1, k == 2, k == 3]
-    tau4 = np.select(branches, [4.0 * a, 2.0 - 4.0 * a, 4.0 * a - 2.0, 4.0 - 4.0 * a])
-    s4 = np.select(branches, [1.0, -1.0, 1.0, -1.0])
-    sq = np.select(branches, [1.0, -1.0, -1.0, 1.0])
-    sp = np.select(branches, [1.0, 1.0, -1.0, -1.0])
+    a4 = 4.0 * np.abs(t)
+    k = np.where(t < 0.0, np.ceil(a4) - 1.0, np.floor(a4))
+    t0, sq, sp = _QUADRANTS[np.clip(k, 0.0, 3.0).astype(int)].T
+    s4 = sq * sp
+    # not s4 * (a4 - 4 t0), which is -0.0 at t = -0.5
+    tau4 = s4 * a4 - 4.0 * s4 * t0
     flip = np.where(t < 0.0, -1.0, 1.0)
     return tau4, s4 * flip, sq, sp * flip
 
@@ -102,14 +118,12 @@ def _fold_point(q, p):
     """`_fold_angle` of the polar angle of ``(q, p)``, read off the point.
 
     The in-quadrant fraction is taken from ``arctan2(|p|, |q|)`` and the
-    quadrant from the signs of ``q`` and ``p``, so a tiny ``p`` keeps its
-    sign where ``arctan2(p, q)`` crosses its branch cut (``t + 1`` rounds
-    to 1 there).  On an axis the quadrant is the one `_fold_angle` picks:
-    that of ``t = 0, 0.25, 0.5, 0.75``.
+    quadrant from the signs of ``q`` and ``p`` (`_quadrant`), so a tiny
+    ``p`` keeps its sign where ``arctan2(p, q)`` crosses its branch cut
+    (``t + 1`` rounds to 1 there).
     """
     tau4 = 4.0 * (np.arctan2(np.abs(p), np.abs(q)) / (2.0 * np.pi))
-    sq = np.where(q != 0.0, np.sign(q), np.where(p > 0.0, -1.0, 1.0))
-    sp = np.where(p != 0.0, np.sign(p), np.where(q < 0.0, -1.0, 1.0))
+    _, sq, sp = _quadrant(q, p)
     return tau4, sq * sp, sq, sp
 
 
@@ -172,16 +186,16 @@ def _check_in_ball(u, r, what="q**2 + p**2"):
 def _polar(q, p, params):
     """Polar preamble of `sigma` and `sigma_jacobian`; rejects non-finite points.
 
-    Returns flat ``q, p``, the input shape, ``u``, the folded polar angle
+    Returns flat ``q, p``, the input shape, the folded polar angle
     (`_fold_point`), the off-center mask, and the area ``pi*u`` with a
-    stand-in at the center.
+    stand-in at the center, so it is never 0.
     """
     (qf, pf), shape = _flatten(q, p)
     u = qf * qf + pf * pf
     _check_in_ball(u, params.r)
-    interior = u > 0.0
+    interior = u > _CENTRE_U
     A_safe = np.where(interior, np.pi * u, params.area_max * 1e-8)
-    return qf, pf, shape, u, _fold_point(qf, pf), interior, A_safe
+    return qf, pf, shape, _fold_point(qf, pf), interior, A_safe
 
 
 def _centred(eng, Q, P, interior, shape):
@@ -213,7 +227,7 @@ def sigma(q, p, params: PackingParams):
     fixed blocks of `_BLOCK`, so beyond the O(N) inputs and outputs peak
     memory is O(`_BLOCK` * ncheb) whatever the batch size.
     """
-    _, _, shape, _, fold, interior, A_safe = _polar(q, p, params)
+    _, _, shape, fold, interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
     return _centred(eng, *_curve_eval(eng, A_safe, fold), interior, shape)
 
@@ -290,7 +304,7 @@ def _solve_area(eng, rho2, alpha, grid, require):
             break
         xr = x[rows]
         A = np.exp(xr)
-        V, V_A = eng.radius_sq(A, alpha[rows], 1)
+        V, V_A = eng.radius_jet(eng.schedule(A, 1), alpha[rows], 1)
         g = np.log(V) - lr[rows]
         lo_r = np.where(g < 0.0, xr, lo[rows])
         hi_r = np.where(g > 0.0, xr, hi[rows])
@@ -347,7 +361,7 @@ def _inverse_block(eng, Q, P, grid):
     xi = Q - np.pi / 2.0
     up = P - eng.c
     rho2 = xi * xi + up * up
-    # a non-finite point must not reach radius_sq
+    # a non-finite point must not reach the area solve
     require(np.isfinite(rho2))
     alpha_q = np.arctan2(np.abs(up), np.abs(xi))
     A = _solve_area(eng, rho2, alpha_q, grid, require)
@@ -359,11 +373,8 @@ def _inverse_block(eng, Q, P, grid):
         s = np.clip(eng.warp_s(alpha_q[off], wp), -1.0, 1.0)
         phi_q[off] = clenshaw(b, s) / (4.0 * total)
     # unfold the quarter sweep into the quadrant of (xi, up)
-    t = np.where(
-        up >= 0.0,
-        np.where(xi >= 0.0, phi_q, 0.5 - phi_q),
-        np.where(xi < 0.0, 0.5 + phi_q, 1.0 - phi_q),
-    )
+    t0, sq, sp = _quadrant(xi, up)
+    t = t0 + sq * sp * phi_q
     root, th = np.sqrt(A / np.pi), 2.0 * np.pi * t
     # a point on a centre line (or the centre) comes back on a disc axis
     q = np.where(xi == 0.0, 0.0, root * np.cos(th))
@@ -392,13 +403,11 @@ def sigma_jacobian(q, p, params: PackingParams):
     differences, the determinant is 1 up to quadrature roundoff even where
     the curve shape changes on a scale far below any sensible step.
     """
-    qf, pf, shape, u, fold, interior, A_safe = _polar(q, p, params)
+    qf, pf, shape, fold, interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
     Q, P, Q_A, Q_t, P_A, P_t = _curve_eval(eng, A_safe, fold, 1)
     A_q, A_p = 2.0 * np.pi * qf, 2.0 * np.pi * pf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_q = -pf / (2.0 * np.pi * u)
-        t_p = qf / (2.0 * np.pi * u)
+    t_q, t_p = -pf / (2.0 * A_safe), qf / (2.0 * A_safe)
     tau_q, tau_p = 4.0 * fold[1] * t_q, 4.0 * fold[1] * t_p
 
     J = np.empty((qf.size, 2, 2))
@@ -489,47 +498,3 @@ def phi(coords, params: PackingParams):
                                            params)
     return out
 
-
-def property_margins(coords, params: PackingParams):
-    """Slack of every packing inequality at the given ball points.
-
-    For each factor the image must satisfy the band bound
-    ``|P_i - c| <= u_i/2 + epsilon`` and the box bound ``0 < Q_i < pi``;
-    globally the actions must satisfy ``sum_i P_i < 1``.  All margins are
-    positive for a correct construction.
-
-    Returns
-    -------
-    dict
-        ``"band_upper"``, ``"band_lower"``: shape (..., n), the slack of
-        ``P_i - c <= u_i/2 + epsilon`` and ``c - P_i <= u_i/2 + epsilon``;
-        ``"box"``: shape (..., n), distance of ``Q_i`` to the nearer wall;
-        ``"action_floor"``: shape (..., n), just ``P_i``;
-        ``"simplex"``: shape (...), the slack ``1 - sum_i P_i``;
-        ``"worst"``: float, minimum over everything.
-    """
-    coords = np.asarray(coords, dtype=float)
-    image = phi(coords, params)
-    Q = image[..., 0::2]
-    P = image[..., 1::2]
-    u = coords[..., 0::2] ** 2 + coords[..., 1::2] ** 2
-    halfband = u / 2.0 + params.epsilon
-    band_upper = halfband - (P - params.c)
-    band_lower = halfband - (params.c - P)
-    box = np.minimum(Q, np.pi - Q)
-    simplex = 1.0 - np.sum(P, axis=-1)
-    worst = min(
-        float(band_upper.min()),
-        float(band_lower.min()),
-        float(box.min()),
-        float(P.min()),
-        float(simplex.min()),
-    )
-    return {
-        "band_upper": band_upper,
-        "band_lower": band_lower,
-        "box": box,
-        "action_floor": P,
-        "simplex": simplex,
-        "worst": worst,
-    }

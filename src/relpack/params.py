@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidEpsilon, RadiusAtOrAboveBound
 
-__all__ = ["PackingParams", "make_params", "max_epsilon", "area_budget_slack"]
+__all__ = ["PackingParams", "make_params", "max_epsilon"]
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,6 @@ def max_epsilon(n: int, r: float) -> float:
     """
     c = 1.0 / (n + 1)
     return (c - r**2 / 2.0) / n
-
-
-def area_budget_slack(params: PackingParams) -> float:
-    """Unused simplex area ``1 - n*c - r**2/2 - n*epsilon``.
-
-    Non-negative for every validated parameter set and zero (to roundoff)
-    exactly when ``epsilon`` takes its default, maximal value.
-    """
-    return 1.0 - params.n * params.c - params.r**2 / 2.0 - params.n * params.epsilon
 
 
 def make_params(n: int, r: float, epsilon: float | None = None) -> PackingParams:

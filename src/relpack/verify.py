@@ -32,7 +32,6 @@ __all__ = [
     "CheckRecord",
     "VerificationReport",
     "sample",
-    "default_maps",
     "check_area_preservation",
     "check_containment",
     "check_midline",
@@ -81,14 +80,6 @@ class MapSet:
     sigma: object
     sigma_inv: object
     sigma_jacobian: object
-
-
-def default_maps() -> MapSet:
-    return MapSet(
-        sigma=discmap.sigma,
-        sigma_inv=discmap.sigma_inv,
-        sigma_jacobian=discmap.sigma_jacobian,
-    )
 
 
 @dataclass
@@ -186,6 +177,15 @@ def _run_chunks(fn, arrays, nthreads):
 # ---------------------------------------------------------------------------
 
 
+def _along_directions(rng, count, dim, radius):
+    """``count`` points of R^dim at the radii ``radius()`` returns, along
+    normalised Gaussian directions, which are drawn first."""
+    x = rng.standard_normal((count, dim))
+    nrm = np.linalg.norm(x, axis=1)
+    nrm[nrm == 0.0] = 1.0
+    return x * (radius() / nrm)[:, None]
+
+
 def sample(spec: SampleSpec, params: PackingParams):
     """Draw a deterministic pool of ball points.
 
@@ -214,7 +214,7 @@ def sample(spec: SampleSpec, params: PackingParams):
     """
     if spec.count <= 0:
         raise ValueError("count must be positive")
-    n, r = params.n, params.r
+    n, r, count = params.n, params.r, spec.count
     dim = 2 * n
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
@@ -228,41 +228,30 @@ def sample(spec: SampleSpec, params: PackingParams):
         out[:, 1] = pp[keep]
         return out
 
+    def uniform(k, shave):
+        # uniform in the radius r*(1 - shave) ball of R^k
+        return _along_directions(
+            rng, count, k, lambda: r * (1.0 - shave) * rng.random(count) ** (1.0 / k))
+
     if spec.strategy == "uniform-ball":
-        x = rng.standard_normal((spec.count, dim))
-        nrm = np.linalg.norm(x, axis=1)
-        nrm[nrm == 0.0] = 1.0
-        rad = r * (1.0 - 1e-9) * rng.random(spec.count) ** (1.0 / dim)
-        return x * (rad / nrm)[:, None]
+        return uniform(dim, 1e-9)
 
     if spec.strategy == "boundary-biased":
-        x = rng.standard_normal((spec.count, dim))
-        nrm = np.linalg.norm(x, axis=1)
-        nrm[nrm == 0.0] = 1.0
-        gap = 10.0 ** rng.uniform(-6.0, -2.0, spec.count)
-        rad = r * np.sqrt(1.0 - gap)
-        return x * (rad / nrm)[:, None]
+        return _along_directions(rng, count, dim, lambda: r * np.sqrt(
+            1.0 - 10.0 ** rng.uniform(-6.0, -2.0, count)))
 
     if spec.strategy == "midline":
-        x = rng.standard_normal((spec.count, n))
-        nrm = np.linalg.norm(x, axis=1)
-        nrm[nrm == 0.0] = 1.0
-        rad = r * (1.0 - 1e-4) * rng.random(spec.count) ** (1.0 / n)
-        q = x * (rad / nrm)[:, None]
-        mag = r * 10.0 ** rng.uniform(-9.0, -3.0, (spec.count, n))
-        sgn = rng.choice([-1.0, 1.0], size=(spec.count, n))
-        out = np.empty((spec.count, dim))
+        q = uniform(n, 1e-4)
+        mag = r * 10.0 ** rng.uniform(-9.0, -3.0, (count, n))
+        sgn = rng.choice([-1.0, 1.0], size=(count, n))
+        out = np.empty((count, dim))
         out[:, 0::2] = q
         out[:, 1::2] = sgn * mag
         return out
 
     if spec.strategy == "diameter-only":
-        x = rng.standard_normal((spec.count, n))
-        nrm = np.linalg.norm(x, axis=1)
-        nrm[nrm == 0.0] = 1.0
-        rad = r * (1.0 - 1e-9) * rng.random(spec.count) ** (1.0 / n)
-        out = np.zeros((spec.count, dim))
-        out[:, 0::2] = x * (rad / nrm)[:, None]
+        out = np.zeros((count, dim))
+        out[:, 0::2] = uniform(n, 1e-9)
         return out
 
     raise ValueError(f"unknown sampling strategy {spec.strategy!r}")
@@ -461,8 +450,7 @@ def check_sharpness_identity(params, tol=1e-15):
     n = params.n
     eps_def = max_epsilon(n, params.r)
     defect = abs(n * params.c + params.r**2 / 2.0 + n * eps_def - 1.0)
-    r2_near = 2.0 / (n + 1) - 1e-9
-    eps_near = (1.0 / (n + 1) - r2_near / 2.0) / n
+    eps_near = max_epsilon(n, np.sqrt(2.0 / (n + 1) - 1e-9))
     return _record("sharpness_identity", [tol - defect, 1e-9 - eps_near], tol)
 
 
@@ -511,9 +499,9 @@ def run_all(params: PackingParams, spec: SampleSpec | None = None,
                    int(aux_seeds[1])), params)
     pool_mid = sample(SampleSpec("midline", 1000, int(aux_seeds[2])), params)
 
+    maps = maps or MapSet(discmap.sigma, discmap.sigma_inv, discmap.sigma_jacobian)
     ev = _evaluate(params, np.concatenate([pool_uni, pool_bnd], axis=0),
-                   pool_diam, pool_mid, maps or default_maps(),
-                   resolve_threads(threads))
+                   pool_diam, pool_mid, maps, resolve_threads(threads))
     k = len(pool_uni)
     chart_pts = np.concatenate(
         [ev.images[: min(1000, k)], ev.images[k : k + 200]], axis=0)

@@ -71,16 +71,15 @@ def test_chart_domain_validation():
         chart_j(np.array([1.0, 0.6, 1.0, 0.5]))  # actions sum past 1
 
 
-def test_domain_spec_predicates():
+def test_domain_spec_predicates(p28):
     d = DomainSpec(2)
-    assert d.line_area == np.pi
     good = np.array([1.0, 0.3, 2.0, 0.3])
     assert d.in_box(good) and d.in_simplex(good) and d.in_chart_domain(good)
     assert not d.in_box(np.array([0.0, 0.3, 2.0, 0.3]))
     assert not d.in_simplex(np.array([1.0, 0.55, 2.0, 0.5]))
     level = np.array([1.0, 1.0 / 3.0, 2.0, 1.0 / 3.0])
-    assert d.on_torus_level(level, tol=1e-12)
-    assert not d.on_torus_level(good, tol=1e-12)
+    assert clifford_distance(chart_j(level), p28) <= 1e-12
+    assert not clifford_distance(chart_j(good), p28) <= 1e-12
 
 
 def test_one_factor_jacobian_is_area_reversing():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relpack import ScheduleInfeasible, level_curve, make_params, shape_schedule
+from relpack import ScheduleInfeasible, make_params, shape_schedule
 from relpack import curves
 from relpack.curves import (
     _engine,
@@ -269,13 +269,12 @@ def test_schedule_monotone_and_banded(p28):
 
 
 def test_level_curve_record(p28):
-    lc = level_curve(1.2, p28)
-    assert lc.center == (np.pi / 2.0, p28.c)
-    assert lc.A == 1.2
+    h, a, m = shape_schedule(1.2, p28)
+    assert all(type(x) is float for x in (h, a, m))
     # the half-width is solved exactly from the area identity
-    area = 4.0 * lc.halfwidth * lc.halfheight * area_factor(lc.exponent)
+    area = 4.0 * a * h * area_factor(m)
     assert area == pytest.approx(1.2, rel=1e-13)
-    assert lc.exponent >= 2.0
+    assert m >= 2.0
 
 
 @pytest.mark.parametrize(
@@ -364,13 +363,13 @@ def test_radius_field_axes_and_growth(p28):
     A = np.array([0.02, 0.4, 1.3])
     h, a, m = eng.schedule(A)
     # on the axes the polar radius is the half-axis itself
-    V0 = eng.radius_sq(A, np.zeros_like(A))
-    V1 = eng.radius_sq(A, np.full_like(A, np.pi / 2.0))
+    V0 = eng.radius_jet((h, a, m), np.zeros_like(A))
+    V1 = eng.radius_jet((h, a, m), np.full_like(A, np.pi / 2.0))
     assert np.allclose(V0, a**2, rtol=1e-12)
     assert np.allclose(V1, h**2, rtol=1e-12)
     # nesting: the radius field grows with area at every angle
     alpha = np.linspace(0.0, np.pi / 2.0, 181)
-    _, VA = eng.radius_sq(A[:, None], alpha[None, :], 1)
+    _, VA = eng.radius_jet(eng.schedule(A[:, None], 1), alpha[None, :], 1)
     assert VA.min() > 0.0
 
 
@@ -378,20 +377,22 @@ def test_radius_jet_matches_fd(p28):
     eng = _engine(p28)
     A = np.array([0.05, 0.6, 1.4, 1.9])
     alpha = np.array([0.15, 0.7, 1.1, 1.45])
-    V, V_A, V_AA, V_al = eng.radius_sq(A, alpha, 2, angle=True)
-    assert np.allclose(V, eng.radius_sq(A, alpha), rtol=1e-13)
+
+    def radius(A, alpha):
+        return eng.radius_jet(eng.schedule(A), alpha)
+
+    V, V_A, V_AA, V_al = eng.radius_jet(eng.schedule(A, 2), alpha, 2, angle=True)
+    assert np.allclose(V, radius(A, alpha), rtol=1e-13)
     hA = 1e-6
-    fdA = _central(lambda x: eng.radius_sq(x, alpha), A, hA)
+    fdA = _central(lambda x: radius(x, alpha), A, hA)
     assert np.max(np.abs(fdA - V_A) / np.abs(V_A)) < 1e-5
     hA = 5e-5  # wider step for the second difference, to beat roundoff
     fdAA = (
-        eng.radius_sq(A + hA, alpha)
-        - 2.0 * eng.radius_sq(A, alpha)
-        + eng.radius_sq(A - hA, alpha)
+        radius(A + hA, alpha) - 2.0 * radius(A, alpha) + radius(A - hA, alpha)
     ) / hA**2
     assert np.max(np.abs(fdAA - V_AA) / np.maximum(np.abs(V_AA), 1e-2)) < 2e-3
     hal = 1e-6
-    fdal = _central(lambda x: eng.radius_sq(A, x), alpha, hal)
+    fdal = _central(lambda x: radius(A, x), alpha, hal)
     assert np.max(np.abs(fdal - V_al) / np.maximum(np.abs(V_al), 1e-6)) < 1e-4
 
 
@@ -406,15 +407,15 @@ def test_jets_share_leading_outputs_bitwise(n, r):
     for lo, hi in ((0, 1), (0, 2), (1, 2)):
         for x, y in zip(sched[lo], sched[hi]):
             assert np.array_equal(x, y)
-    V0 = eng.radius_sq(A, alpha)
-    V1, VA1 = eng.radius_sq(A, alpha, 1)
-    V2, VA2, VAA2 = eng.radius_sq(A, alpha, 2)
+    V0 = eng.radius_jet(sched[0], alpha)
+    V1, VA1 = eng.radius_jet(sched[1], alpha, 1)
+    V2, VA2, VAA2 = eng.radius_jet(sched[2], alpha, 2)
     assert np.array_equal(V0, V1) and np.array_equal(V0, V2)
     assert np.array_equal(VA1, VA2)
     # the angle derivative appends, and is the same at every order
-    V3, Val3 = eng.radius_sq(A, alpha, angle=True)
-    V4, VA4, Val4 = eng.radius_sq(A, alpha, 1, angle=True)
-    V5, VA5, VAA5, Val5 = eng.radius_sq(A, alpha, 2, angle=True)
+    V3, Val3 = eng.radius_jet(sched[0], alpha, angle=True)
+    V4, VA4, Val4 = eng.radius_jet(sched[1], alpha, 1, angle=True)
+    V5, VA5, VAA5, Val5 = eng.radius_jet(sched[2], alpha, 2, angle=True)
     assert all(np.array_equal(V0, x) for x in (V3, V4, V5))
     assert np.array_equal(VA1, VA4) and np.array_equal(VA1, VA5)
     assert np.array_equal(VAA2, VAA5)
@@ -441,7 +442,7 @@ def test_radius_matches_long_double(n, r):
     ref = (np.abs(np.cos(al) / a) ** m + np.abs(np.sin(al) / h) ** m) ** (-2.0 / m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        V, V_A, V_AA, V_al = eng.radius_sq(A, alpha, 2, angle=True)
+        V, V_A, V_AA, V_al = eng.radius_jet(eng.schedule(A, 2), alpha, 2, angle=True)
     assert np.max(np.abs(V - ref) / ref) <= 1e-14
     for x in (V_A, V_AA, V_al):
         assert np.all(np.isfinite(x))
@@ -474,12 +475,12 @@ def test_sweep_build_temporaries(order, bound_mib):
 def test_level_curve_invariants(frac):
     p = make_params(2, 0.8)
     A = frac * p.area_max
-    lc = level_curve(A, p)
-    assert 0.0 < lc.halfheight <= min(
+    h, a, m = shape_schedule(A, p)
+    assert 0.0 < h <= min(
         math.sqrt(A / math.pi), A / (2.0 * math.pi) + p.epsilon / 2.0
     )
-    assert 0.0 < lc.halfwidth < math.pi / 2.0
-    area = 4.0 * lc.halfwidth * lc.halfheight * area_factor(lc.exponent)
+    assert 0.0 < a < math.pi / 2.0
+    area = 4.0 * a * h * area_factor(m)
     assert area == pytest.approx(A, rel=1e-12)
 
 

@@ -12,11 +12,10 @@ from relpack import (
     NotInImage,
     QuadratureNonConvergent,
     enclosed_area,
-    level_curve,
     level_curve_point,
     make_params,
     phi,
-    property_margins,
+    shape_schedule,
     sigma,
     sigma_inv,
     sigma_jacobian,
@@ -84,7 +83,8 @@ def test_angle_near_the_diameter_is_resolved(n, r):
     params = make_params(n, r)
     eng = curves._engine(params)
     for q in (0.5, -0.3, 0.05):
-        V, V_A = eng.radius_sq(np.array([np.pi * q * q]), np.zeros(1), 1)
+        A = np.array([np.pi * q * q])
+        V, V_A = eng.radius_jet(eng.schedule(A, 1), np.zeros(1), 1)
         for p in (1e-16, 1e-14, 1e-11):
             tau4 = 4.0 * np.arctan2(p, abs(q)) / (2.0 * np.pi)
             expected = np.sqrt(V[0]) * tau4 / (2.0 * V_A[0])
@@ -263,8 +263,9 @@ def test_axis_images_are_exact(n, r, rng):
     eng = curves._engine(params)
     s = np.concatenate([[0.3, -0.3, 1e-9, -1e-9], rng.uniform(-r, r, 40) * (1 - 1e-9)])
     A = np.pi * (s * s)  # as sigma forms it
-    side = np.sqrt(eng.radius_sq(A, np.zeros_like(A)))
-    top = np.sqrt(eng.radius_sq(A, np.full_like(A, np.pi / 2.0)))
+    sched = eng.schedule(A)
+    side = np.sqrt(eng.radius_jet(sched, np.zeros_like(A)))
+    top = np.sqrt(eng.radius_jet(sched, np.full_like(A, np.pi / 2.0)))
     for Q, P in (sigma(s, 0.0, params), sigma_jacobian(s, 0.0, params)[:2]):
         assert np.all(P == params.c)
         assert np.array_equal(Q, np.pi / 2.0 + np.sign(s) * side)
@@ -292,14 +293,14 @@ def test_sigma_memory_is_bounded(p28, rng):
 
 def test_level_curve_point_axes(p28):
     A = 0.9
-    lc = level_curve(A, p28)
+    h, a, _ = shape_schedule(A, p28)
     Q, P = level_curve_point(A, 0.0, p28)
-    assert Q == np.pi / 2.0 + lc.halfwidth and P == p28.c
+    assert Q == np.pi / 2.0 + a and P == p28.c
     Q, P = level_curve_point(A, 0.25, p28)
     assert Q == pytest.approx(np.pi / 2.0, abs=1e-14)
-    assert P == p28.c + lc.halfheight
+    assert P == p28.c + h
     Q, P = level_curve_point(A, 0.5, p28)
-    assert Q == pytest.approx(np.pi / 2.0 - lc.halfwidth, abs=1e-14)
+    assert Q == pytest.approx(np.pi / 2.0 - a, abs=1e-14)
     # the fraction wraps modulo one
     Q0, P0 = level_curve_point(A, 0.0, p28)
     Q1, P1 = level_curve_point(A, 1.0, p28)
@@ -384,7 +385,7 @@ def test_inverse_radius_passes(p28, monkeypatch, rng):
     pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 64)
     Q, P = sigma(pts[:, 0], pts[:, 1], p28)
     calls = [0]
-    radius_jet = eng.radius_jet  # behind radius_sq and every sweep build
+    radius_jet = eng.radius_jet  # behind the area solve and every sweep build
 
     def counting(*args, **kwargs):
         calls[0] += 1
@@ -444,6 +445,18 @@ def test_jacobian_identity_at_center(p28):
 
 def _det(J):
     return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+
+
+@pytest.mark.parametrize("x", [1e-30, 1e-100, 1e-150, 1e-160, 1e-170])
+def test_jacobian_next_to_the_centre(p28, x):
+    # the schedule's second area derivatives overflow for A below ~1e-150,
+    # and at 1e-170 q**2 + p**2 underflows to 0 while q does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, p in ((x, 0.0), (0.0, x), (-x, x)):
+            Q, P, J = sigma_jacobian(q, p, p28)
+            assert np.all(np.isfinite(J)) and abs(_det(J) - 1.0) <= 1e-12
+            assert (Q, P) == (np.pi / 2.0, p28.c)
 
 
 def test_determinant_is_one_generic(p28, rng):
@@ -564,24 +577,6 @@ def test_phi_symplectic_block_structure(p28, rng):
         J = np.stack(Jcols, axis=1)
         defect = J.T @ omega @ J - omega
         assert np.max(np.abs(defect)) < 5e-4
-
-
-def test_property_margins_at_origin(p28):
-    m = property_margins(np.zeros(4), p28)
-    assert m["worst"] == pytest.approx(p28.epsilon, abs=1e-15)
-    assert m["band_upper"].shape == (2,)
-    assert np.allclose(m["band_upper"], p28.epsilon, atol=1e-15)
-    assert np.allclose(m["band_lower"], p28.epsilon, atol=1e-15)
-    assert np.allclose(m["box"], np.pi / 2.0)
-    assert np.allclose(m["action_floor"], p28.c)
-    assert m["simplex"] == pytest.approx(1.0 - 2.0 * p28.c, abs=1e-15)
-
-
-def test_property_margins_positive_on_pool(p28, rng):
-    pts = ball_points(rng, p28, 2000)
-    m = property_margins(pts, p28)
-    assert m["worst"] > 0.0
-    assert np.all(m["simplex"] > 0.0)
 
 
 # ---------------------------------------------------------------------------

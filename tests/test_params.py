@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from relpack import (
     InvalidEpsilon,
     RadiusAtOrAboveBound,
-    area_budget_slack,
     make_params,
     max_epsilon,
 )
@@ -35,12 +34,12 @@ def test_budget_identity_saturates(n, r):
     p = make_params(n, r)
     ident = p.n * p.c + p.r**2 / 2.0 + p.n * p.epsilon
     assert abs(ident - 1.0) <= 1e-15
-    assert abs(area_budget_slack(p)) <= 1e-15
+    assert abs(1.0 - p.n * p.c - p.r**2 / 2.0 - p.n * p.epsilon) <= 1e-15
 
 
 def test_budget_slack_positive_for_small_collar():
     p = make_params(2, 0.8, epsilon=1e-3)
-    assert area_budget_slack(p) > 0.0
+    assert 1.0 - p.n * p.c - p.r**2 / 2.0 - p.n * p.epsilon > 0.0
 
 
 def test_radius_rejected_at_and_above_bound():

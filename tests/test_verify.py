@@ -1,16 +1,19 @@
 """Sampling pools, check records, report schema, and fault injection."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from relpack import discmap, make_params
+from relpack import discmap, make_params, phi
 from relpack.verify import (
     DEFAULT_TOLERANCES,
     ROUND_TRIP_LIMIT,
     MapSet,
     SampleSpec,
+    check_band_margins,
+    check_containment,
     check_curve_areas,
     check_sharpness_identity,
     resolve_threads,
@@ -19,6 +22,7 @@ from relpack.verify import (
 )
 
 from _faulty import stretched_maps
+from conftest import ball_points
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +235,28 @@ def test_sharpness_record(p28):
 def test_curve_area_record(p37):
     rec = check_curve_areas(p37, count=8)
     assert rec.passed and rec.samples_used == 8
+
+
+def _evaluation_of(pts, params):
+    """What the containment and band checks read of an evaluation of ``pts``."""
+    return SimpleNamespace(params=params, pool=pts, images=phi(pts, params))
+
+
+def test_packing_margins_at_origin(p28):
+    # the centre maps to (pi/2, c) in each factor: the band keeps the whole
+    # collar, and the box, action floor and simplex slacks are pi/2, c, 1 - 2c
+    ev = _evaluation_of(np.zeros((1, 4)), p28)
+    band, box = check_band_margins(ev), check_containment(ev)
+    assert band.worst_margin == pytest.approx(p28.epsilon, abs=1e-15)
+    assert box.worst_margin == pytest.approx(
+        min(np.pi / 2.0, p28.c, 1.0 - 2.0 * p28.c), abs=1e-15)
+    assert band.worst_point == box.worst_point == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_packing_margins_positive_on_pool(p28, rng):
+    ev = _evaluation_of(ball_points(rng, p28, 2000), p28)
+    for rec in (check_band_margins(ev), check_containment(ev)):
+        assert rec.passed and rec.worst_margin > 0.0
 
 
 # ---------------------------------------------------------------------------
