@@ -10,11 +10,11 @@ a nested level-curve family) with the action-angle chart (`chart_j`); the
 """
 
 from .chart import (
-    DomainSpec,
     chart_j,
     chart_j_inv,
     chart_symplectic_check,
     clifford_distance,
+    domain_slack,
     full_embedding,
     moment_map,
 )
@@ -62,7 +62,7 @@ __all__ = [
     "level_curve_point",
     "enclosed_area",
     "phi",
-    "DomainSpec",
+    "domain_slack",
     "moment_map",
     "chart_j",
     "chart_j_inv",

@@ -16,8 +16,6 @@ packing of the ball whose real slice ``{p = 0}`` lands exactly on the torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .discmap import phi
@@ -25,7 +23,7 @@ from .errors import BranchBoundary, NotInDomain, OnAxes
 from .params import PackingParams
 
 __all__ = [
-    "DomainSpec",
+    "domain_slack",
     "moment_map",
     "chart_j",
     "chart_j_inv",
@@ -34,39 +32,23 @@ __all__ = [
     "chart_symplectic_check",
 ]
 
+_FD_STEP = 1e-5  # central-difference step of `chart_symplectic_check`
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Membership predicates for the chart domains at a given ``n``.
 
-    ``box`` is the open cube ``(0, pi)^n`` of angle coordinates, ``simplex``
-    the open action simplex ``{P_i > 0, sum P_i < 1}``, and the chart domain
-    is their product.
+def domain_slack(coords):
+    """Least slack of the open chart domain (box times simplex), per point.
+
+    The minimum of ``Q_k``, ``pi - Q_k``, ``P_k`` and ``1 - sum P_k`` over a
+    point's coordinates ``(Q1, P1, ..., Qn, Pn)``: positive exactly on the
+    domain, and NaN where a coordinate is NaN.
     """
-
-    n: int
-
-    def _split(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape[-1] != 2 * self.n:
-            raise ValueError(
-                f"expected trailing dimension {2 * self.n}, got {coords.shape}"
-            )
-        return coords[..., 0::2], coords[..., 1::2]
-
-    def in_box(self, coords):
-        """True where all angle coordinates lie strictly inside (0, pi)."""
-        Q, _ = self._split(coords)
-        return np.all((Q > 0.0) & (Q < np.pi), axis=-1)
-
-    def in_simplex(self, coords):
-        """True where the action coordinates lie in the open simplex."""
-        _, P = self._split(coords)
-        return np.all(P > 0.0, axis=-1) & (np.sum(P, axis=-1) < 1.0)
-
-    def in_chart_domain(self, coords):
-        """True on the product of `in_box` and `in_simplex` (the chart's K')."""
-        return self.in_box(coords) & self.in_simplex(coords)
+    coords = np.asarray(coords, dtype=float)
+    Q = coords[..., 0::2]
+    P = coords[..., 1::2]
+    return np.minimum(
+        np.min(np.minimum(Q, np.pi - Q), axis=-1),
+        np.minimum(np.min(P, axis=-1), 1.0 - np.sum(P, axis=-1)),
+    )
 
 
 def moment_map(z):
@@ -91,17 +73,15 @@ def chart_j(coords):
     Raises
     ------
     NotInDomain
-        If any point violates a chart-domain predicate.
+        If some point has no positive `domain_slack`.
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[-1] // 2
     if coords.shape[-1] != 2 * n or n == 0:
         raise ValueError(f"expected even trailing dimension, got {coords.shape}")
-    spec = DomainSpec(n)
-    if not np.all(spec.in_chart_domain(coords)):
+    if not np.all(domain_slack(coords) > 0.0):
         raise NotInDomain("point outside the open chart domain (box x simplex)")
-    Q, P = spec._split(coords)
-    return np.sqrt(P) * np.exp(2j * Q)
+    return np.sqrt(coords[..., 1::2]) * np.exp(2j * coords[..., 0::2])
 
 
 def chart_j_inv(z):
@@ -165,7 +145,7 @@ def clifford_distance(z, params: PackingParams):
     return dist
 
 
-def chart_symplectic_check(coords, step=1e-5):
+def chart_symplectic_check(coords):
     """Numerical pullback defect of the chart at the given points.
 
     Differentiates `chart_j` (viewed as a map into R^{2n}) by central
@@ -180,8 +160,6 @@ def chart_symplectic_check(coords, step=1e-5):
     coords : array_like, shape (..., 2n)
         Chart-domain points with every ``Q_k`` at distance at least 1e-6
         from {0, pi} (so the difference stencil stays in the domain).
-    step : float
-        Central-difference step.
 
     Returns
     -------
@@ -196,7 +174,7 @@ def chart_symplectic_check(coords, step=1e-5):
     P = pts[..., 1::2]
     if np.any(Q < 1e-6) or np.any(Q > np.pi - 1e-6):
         raise ValueError("angle coordinates must keep 1e-6 clearance from {0, pi}")
-    if np.any(P <= step) or np.any(np.sum(P, axis=-1) >= 1.0 - step):
+    if np.any(P <= _FD_STEP) or np.any(np.sum(P, axis=-1) >= 1.0 - _FD_STEP):
         raise ValueError("actions must clear the simplex boundary by the step")
 
     def to_real(c):
@@ -210,8 +188,8 @@ def chart_symplectic_check(coords, step=1e-5):
     J = np.empty((npts, dim, dim))
     for j in range(dim):
         e = np.zeros(dim)
-        e[j] = step
-        J[:, :, j] = (to_real(pts + e) - to_real(pts - e)) / (2.0 * step)
+        e[j] = _FD_STEP
+        J[:, :, j] = (to_real(pts + e) - to_real(pts - e)) / (2.0 * _FD_STEP)
 
     omega_xy = np.zeros((dim, dim))
     omega_pq = np.zeros((dim, dim))

@@ -15,6 +15,7 @@ lets the test suite prove each check can fail by wiring in broken maps.
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discmap
-from .chart import chart_j, chart_symplectic_check
+from .chart import chart_j, chart_symplectic_check, domain_slack
 from .errors import QuadratureNonConvergent
 from .params import PackingParams, max_epsilon
 
@@ -57,6 +58,7 @@ DEFAULT_TOLERANCES = {
 }
 
 ROUND_TRIP_LIMIT = 30000  # main-pool factor points sent back through sigma_inv
+CURVE_AREA_COUNT = 32  # areas on the geometric grid of `check_curve_areas`
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,12 @@ class VerificationReport:
     def to_json(self) -> str:
         """Serialize with stable key order and full-precision floats.
 
-        Floats are emitted with `repr`, whose shortest round-trip form
-        preserves every bit of the value (at most 17 significant digits).
+        Finite floats take their shortest round-trip form, which keeps every
+        bit (at most 17 digits); others the ``NaN``/``Infinity`` of `json`.
         """
 
         def f(x):
-            return repr(float(x))
+            return json.dumps(float(x))
 
         lines = ["{"]
         lines.append(
@@ -270,6 +272,7 @@ class _Evaluation:
     one pass gives its product image ``images`` and the Jacobian
     determinant ``det`` at each factor point.  ``inverse`` holds
     ``sigma_inv`` of the first `ROUND_TRIP_LIMIT` factor images as rows.
+    ``chart`` is the images of the first 1000 uniform and 200 boundary rows.
     """
 
     params: PackingParams
@@ -281,9 +284,10 @@ class _Evaluation:
     diam_images: np.ndarray
     mid: np.ndarray
     mid_images: np.ndarray
+    chart: np.ndarray
 
 
-def _evaluate(params, pool, diam, mid, maps, nthreads):
+def _evaluate(params, uni, bnd, diam, mid, maps, nthreads):
     """Pass each pool through ``maps`` once and collect the results.
 
     Every pool is mapped as flat factor points.  The main pool's go
@@ -305,19 +309,22 @@ def _evaluate(params, pool, diam, mid, maps, nthreads):
                            [fp[:, 0], fp[:, 1]], nthreads)
         return np.column_stack([Q, P]).reshape(aux.shape)
 
+    k, m = len(uni), ROUND_TRIP_LIMIT
+    pool = np.concatenate([uni, bnd], axis=0)
     fp = pool.reshape(-1, 2)
     Q, P, det = _run_chunks(forward, [fp[:, 0], fp[:, 1]], nthreads)
-    k = ROUND_TRIP_LIMIT
+    img = np.column_stack([Q, P]).reshape(pool.shape)
     return _Evaluation(
         params=params,
         pool=pool,
-        images=np.column_stack([Q, P]).reshape(pool.shape),
+        images=img,
         det=det,
-        inverse=_run_chunks(inverse, [Q[:k], P[:k]], nthreads),
+        inverse=_run_chunks(inverse, [Q[:m], P[:m]], nthreads),
         diam=diam,
         diam_images=images(diam),
         mid=mid,
         mid_images=images(mid),
+        chart=np.concatenate([img[: min(1000, k)], img[k : k + 200]], axis=0),
     )
 
 
@@ -348,36 +355,30 @@ def _record(name, slack, tol, points=None, floor=0.0):
 # ---------------------------------------------------------------------------
 
 
-def check_area_preservation(ev, tol=1e-6):
+def check_area_preservation(ev, tol):
     """Determinant of the factor-map Jacobian within ``tol`` of 1."""
     return _record("area_preservation", tol - np.abs(ev.det - 1.0), tol,
                    ev.pool.reshape(-1, 2))
 
 
-def check_containment(ev, floor=0.0):
-    """Images inside the open box/simplex; margin is the minimal slack.
+def check_containment(ev, tol):
+    """Images inside the open box/simplex; margin is the least `domain_slack`.
 
-    ``floor`` raises the bar: the check passes only if the minimal slack
-    strictly exceeds it (default 0, the open-constraint requirement).
+    The check passes only if that slack strictly exceeds ``tol`` (0 is the
+    open-domain requirement).
     """
-    Q = ev.images[:, 0::2]
-    P = ev.images[:, 1::2]
-    slack = np.minimum(
-        np.min(np.minimum(Q, np.pi - Q), axis=1),
-        np.minimum(np.min(P, axis=1), 1.0 - np.sum(P, axis=1)),
-    )
-    return _record("containment", slack, floor, ev.pool, floor)
+    return _record("containment", domain_slack(ev.images), tol, ev.pool, tol)
 
 
-def check_band_margins(ev, floor=0.0):
+def check_band_margins(ev, tol):
     """Two-sided band: ``|P_i - c| <= u_i/2 + epsilon`` for every factor."""
     u = ev.pool[:, 0::2] ** 2 + ev.pool[:, 1::2] ** 2
     halfband = u / 2.0 + ev.params.epsilon
     slack = np.min(halfband - np.abs(ev.images[:, 1::2] - ev.params.c), axis=1)
-    return _record("band_margins", slack, floor, ev.pool, floor)
+    return _record("band_margins", slack, tol, ev.pool, tol)
 
 
-def check_midline(ev, tol=1e-12):
+def check_midline(ev, tol):
     """Diameter points land on ``P = c``; the sign of ``P - c`` follows ``p``."""
     c = ev.params.c
     mfp = ev.mid.reshape(-1, 2)
@@ -389,41 +390,41 @@ def check_midline(ev, tol=1e-12):
                    np.concatenate([ev.diam.reshape(-1, 2), mfp]))
 
 
-def check_round_trip(ev, tol=1e-9):
+def check_round_trip(ev, tol):
     """``sigma_inv(sigma(x)) == x`` within ``tol`` per coordinate."""
     fp = ev.pool.reshape(-1, 2)[: len(ev.inverse)]
     err = np.max(np.abs(ev.inverse - fp), axis=1)
     return _record("round_trip", tol - err, tol, fp)
 
 
-def check_curve_areas(params, tol=1e-6, count=32):
+def check_curve_areas(ev, tol):
     """Enclosed-area oracle agrees with the defining area on a grid."""
-    grid = np.geomspace(1e-4 * params.area_max, (1.0 - 1e-9) * params.area_max,
-                        count)
-    rel = np.empty(count)
+    a = ev.params.area_max
+    grid = np.geomspace(1e-4 * a, (1.0 - 1e-9) * a, CURVE_AREA_COUNT)
+    rel = np.empty(CURVE_AREA_COUNT)
     for k, A in enumerate(grid):
         try:
-            rel[k] = abs(discmap.enclosed_area(A, params) - A) / A
+            rel[k] = abs(discmap.enclosed_area(A, ev.params) - A) / A
         except QuadratureNonConvergent:
             # sentinel: a non-convergent ladder fails the check outright
             rel[k] = 1.0
     return _record("curve_areas", tol - rel, tol, grid[:, None])
 
 
-def check_chart_symplectic(images, tol=1e-6):
-    """Pullback defect of the chart at mapped points.
+def check_chart_symplectic(ev, tol):
+    """Pullback defect of the chart at the chart sample ``ev.chart``.
 
     The spot tolerance is ``tol`` where all actions are healthy and 1e-4
     where some action drops below 1e-3 (finite-difference conditioning,
     not a property failure).
     """
-    pts = np.asarray(images, dtype=float)
+    pts = ev.chart
     tiered = np.where(np.any(pts[:, 1::2] < 1e-3, axis=1), 1e-4, tol)
     return _record("chart_symplectic", tiered - chart_symplectic_check(pts),
                    tol, pts)
 
 
-def check_lagrangian_preimage(ev, tol=1e-12):
+def check_lagrangian_preimage(ev, tol):
     """Real slice lands on the torus; off-slice points leave it, signed.
 
     Diameter samples must embed with action distance below ``tol`` from
@@ -441,12 +442,13 @@ def check_lagrangian_preimage(ev, tol=1e-12):
                    np.concatenate([ev.diam, ev.mid]))
 
 
-def check_sharpness_identity(params, tol=1e-15):
+def check_sharpness_identity(ev, tol):
     """``n*c + r**2/2 + n*epsilon_default == 1`` and the vanishing limit.
 
     Also evaluates the default collar width at ``r**2 = 2/(n+1) - 1e-9``
     and requires it below 1e-9 (the collar must vanish at the bound).
     """
+    params = ev.params
     n = params.n
     eps_def = max_epsilon(n, params.r)
     defect = abs(n * params.c + params.r**2 / 2.0 + n * eps_def - 1.0)
@@ -464,7 +466,9 @@ def run_all(params: PackingParams, spec: SampleSpec | None = None,
     """Run every check over seeded pools and aggregate into a report.
 
     The four pools are sampled, then mapped once into a shared evaluation
-    that every check reads.
+    that every check reads.  The checks run in the order of
+    `DEFAULT_TOLERANCES`; each ``check_<name>`` is looked up in this module
+    when it is called, so a patched check is the one that runs.
 
     Parameters
     ----------
@@ -474,7 +478,7 @@ def run_all(params: PackingParams, spec: SampleSpec | None = None,
         points and seed 42.  Auxiliary pools (boundary-biased, diameter,
         near-midline) get counts and seeds derived from it.
     tolerances : dict, optional
-        Per-check overrides of `DEFAULT_TOLERANCES`.
+        Per-check overrides of `DEFAULT_TOLERANCES`, each finite and >= 0.
     maps : MapSet, optional
         Map implementations to verify (tests inject faulty ones here).
     threads : int, optional
@@ -487,6 +491,9 @@ def run_all(params: PackingParams, spec: SampleSpec | None = None,
         unknown = set(tolerances) - set(tol)
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
+        bad = sorted(k for k, v in tolerances.items() if not 0.0 <= v < np.inf)
+        if bad:
+            raise ValueError(f"tolerances must be finite and >= 0: {bad}")
         tol.update(tolerances)
 
     aux_seeds = np.random.SeedSequence(spec.seed).generate_state(3)
@@ -500,24 +507,9 @@ def run_all(params: PackingParams, spec: SampleSpec | None = None,
     pool_mid = sample(SampleSpec("midline", 1000, int(aux_seeds[2])), params)
 
     maps = maps or MapSet(discmap.sigma, discmap.sigma_inv, discmap.sigma_jacobian)
-    ev = _evaluate(params, np.concatenate([pool_uni, pool_bnd], axis=0),
-                   pool_diam, pool_mid, maps, resolve_threads(threads))
-    k = len(pool_uni)
-    chart_pts = np.concatenate(
-        [ev.images[: min(1000, k)], ev.images[k : k + 200]], axis=0)
-
-    checks = [
-        check_area_preservation(ev, tol["area_preservation"]),
-        check_containment(ev, tol["containment"]),
-        check_midline(ev, tol["midline"]),
-        check_band_margins(ev, tol["band_margins"]),
-        check_round_trip(ev, tol["round_trip"]),
-        check_curve_areas(params, tol["curve_areas"]),
-        check_chart_symplectic(chart_pts, tol["chart_symplectic"]),
-        check_lagrangian_preimage(ev, tol["lagrangian_preimage"]),
-        check_sharpness_identity(params, tol["sharpness_identity"]),
-    ]
+    ev = _evaluate(params, pool_uni, pool_bnd, pool_diam, pool_mid, maps,
+                   resolve_threads(threads))
     return VerificationReport(
         n=params.n, r=params.r, epsilon=params.epsilon, seed=spec.seed,
-        checks=checks,
+        checks=[globals()[f"check_{name}"](ev, t) for name, t in tol.items()],
     )

@@ -5,6 +5,7 @@ geometry, and fault injection."""
 import csv
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from relpack import (
 )
 from relpack.cli import main
 from relpack.verify import (
+    DEFAULT_TOLERANCES,
     SampleSpec,
     check_curve_areas,
     check_sharpness_identity,
@@ -80,7 +82,8 @@ def test_at_bound_radius_rejected(capsys):
 def test_sharpness_identity(n, r):
     p = make_params(n, r)
     assert abs(p.n * p.c + p.r**2 / 2.0 + p.n * p.epsilon - 1.0) <= 1e-15
-    rec = check_sharpness_identity(p)
+    rec = check_sharpness_identity(
+        SimpleNamespace(params=p), DEFAULT_TOLERANCES["sharpness_identity"])
     assert rec.passed and rec.tolerance == 1e-15
 
 
@@ -89,7 +92,7 @@ def test_sharpness_identity(n, r):
 
 
 def test_curve_area_oracle_geometric_grid():
-    rec = check_curve_areas(make_params(2, 0.8), tol=1e-6, count=32)
+    rec = check_curve_areas(SimpleNamespace(params=make_params(2, 0.8)), 1e-6)
     assert rec.passed and rec.samples_used == 32
 
 

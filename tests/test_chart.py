@@ -5,13 +5,13 @@ import pytest
 
 from relpack import (
     BranchBoundary,
-    DomainSpec,
     NotInDomain,
     OnAxes,
     chart_j,
     chart_j_inv,
     chart_symplectic_check,
     clifford_distance,
+    domain_slack,
     full_embedding,
     moment_map,
 )
@@ -71,12 +71,21 @@ def test_chart_domain_validation():
         chart_j(np.array([1.0, 0.6, 1.0, 0.5]))  # actions sum past 1
 
 
-def test_domain_spec_predicates(p28):
-    d = DomainSpec(2)
+def test_domain_slack_predicates(p28):
     good = np.array([1.0, 0.3, 2.0, 0.3])
-    assert d.in_box(good) and d.in_simplex(good) and d.in_chart_domain(good)
-    assert not d.in_box(np.array([0.0, 0.3, 2.0, 0.3]))
-    assert not d.in_simplex(np.array([1.0, 0.55, 2.0, 0.5]))
+    assert domain_slack(good) == 0.3  # the least action
+    assert not domain_slack(np.array([0.0, 0.3, 2.0, 0.3])) > 0.0  # box
+    assert not domain_slack(np.array([1.0, 0.55, 2.0, 0.5])) > 0.0  # simplex
+    # NaN and infinities have no positive slack, so chart_j rejects them
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(4):
+            x = good.copy()
+            x[i] = bad
+            assert not domain_slack(x) > 0.0
+            with pytest.raises(NotInDomain):
+                chart_j(x)
+    pts = np.array([good, [1.0, 0.55, 2.0, 0.5]])
+    assert np.array_equal(domain_slack(pts) > 0.0, [True, False])
     level = np.array([1.0, 1.0 / 3.0, 2.0, 1.0 / 3.0])
     assert clifford_distance(chart_j(level), p28) <= 1e-12
     assert not clifford_distance(chart_j(good), p28) <= 1e-12

@@ -75,6 +75,14 @@ def test_bad_tolerance_syntax(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("entry", ["round_trip=nan", "curve_areas=inf",
+                                   "containment=-1"])
+def test_non_finite_or_negative_tolerance_exits_two(entry, capsys):
+    rc = main(["verify", "--samples", "100", "--tol", entry])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_repeated_calls_share_no_state(monkeypatch):
     # the parser is built once per process, but no call may see another's --tol
     parser = cli._build_parser()

@@ -1,13 +1,15 @@
 """Sampling pools, check records, report schema, and fault injection."""
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from relpack import discmap, make_params, phi
+from relpack import discmap, make_params, phi, verify
 from relpack.verify import (
+    CURVE_AREA_COUNT,
     DEFAULT_TOLERANCES,
     ROUND_TRIP_LIMIT,
     MapSet,
@@ -201,6 +203,33 @@ def test_unknown_tolerance_name_rejected(p28):
         run_all(p28, SampleSpec("uniform-ball", 100, 0), tolerances={"nope": 1.0})
 
 
+@pytest.mark.parametrize("name,value", [("round_trip", math.nan),
+                                        ("curve_areas", math.inf),
+                                        ("containment", -1.0)])
+def test_non_finite_or_negative_tolerance_rejected(p28, name, value):
+    # a NaN margin is no verdict, and a floor below 0 would pass images
+    # outside the open domain
+    with pytest.raises(ValueError, match="finite"):
+        run_all(p28, SampleSpec("uniform-ball", 100, 0), tolerances={name: value})
+
+
+def test_checks_run_from_the_table_at_call_time(p28, monkeypatch):
+    # run_all looks each check up in the module when it calls it, so a
+    # patched verify.check_<name> is the one that runs (the benchmark's
+    # tracer times the checks that way)
+    calls = []
+    for name in DEFAULT_TOLERANCES:
+        def recording(ev, tol, name=name, fn=getattr(verify, f"check_{name}")):
+            calls.append((name, tol))
+            return fn(ev, tol)
+
+        monkeypatch.setattr(verify, f"check_{name}", recording)
+    rep = run_all(p28, SampleSpec("uniform-ball", 300, 1),
+                  tolerances={"midline": 1e-11})
+    assert calls == list({**DEFAULT_TOLERANCES, "midline": 1e-11}.items())
+    assert [c.name for c in rep.checks] == list(DEFAULT_TOLERANCES)
+
+
 def test_tightened_tolerance_fails_cleanly(p28):
     rep = run_all(
         p28,
@@ -227,14 +256,16 @@ def test_grid_area_check(p28):
 
 
 def test_sharpness_record(p28):
-    rec = check_sharpness_identity(p28)
+    rec = check_sharpness_identity(SimpleNamespace(params=p28),
+                                   DEFAULT_TOLERANCES["sharpness_identity"])
     assert rec.passed and rec.name == "sharpness_identity"
     assert rec.tolerance == 1e-15
 
 
 def test_curve_area_record(p37):
-    rec = check_curve_areas(p37, count=8)
-    assert rec.passed and rec.samples_used == 8
+    rec = check_curve_areas(SimpleNamespace(params=p37),
+                            DEFAULT_TOLERANCES["curve_areas"])
+    assert rec.passed and rec.samples_used == CURVE_AREA_COUNT == 32
 
 
 def _evaluation_of(pts, params):
@@ -246,7 +277,7 @@ def test_packing_margins_at_origin(p28):
     # the centre maps to (pi/2, c) in each factor: the band keeps the whole
     # collar, and the box, action floor and simplex slacks are pi/2, c, 1 - 2c
     ev = _evaluation_of(np.zeros((1, 4)), p28)
-    band, box = check_band_margins(ev), check_containment(ev)
+    band, box = check_band_margins(ev, 0.0), check_containment(ev, 0.0)
     assert band.worst_margin == pytest.approx(p28.epsilon, abs=1e-15)
     assert box.worst_margin == pytest.approx(
         min(np.pi / 2.0, p28.c, 1.0 - 2.0 * p28.c), abs=1e-15)
@@ -255,7 +286,7 @@ def test_packing_margins_at_origin(p28):
 
 def test_packing_margins_positive_on_pool(p28, rng):
     ev = _evaluation_of(ball_points(rng, p28, 2000), p28)
-    for rec in (check_band_margins(ev), check_containment(ev)):
+    for rec in (check_band_margins(ev, 0.0), check_containment(ev, 0.0)):
         assert rec.passed and rec.worst_margin > 0.0
 
 
@@ -275,3 +306,18 @@ def test_broken_maps_fail_area_only_spotcheck(p28):
     )
     # while the self-consistent round trip still closes
     assert records["round_trip"].passed
+
+
+def test_nan_jacobian_fails_area_check_and_report_parses(p28):
+    def jac(q, p, params):
+        Q, P, J = discmap.sigma_jacobian(q, p, params)
+        J[0, 0, 0] = np.nan  # one entry of the first factor point's J
+        return Q, P, J
+
+    maps = MapSet(discmap.sigma, discmap.sigma_inv, jac)
+    rep = run_all(p28, SampleSpec("uniform-ball", 500, 3), maps=maps)
+    doc = json.loads(rep.to_json())
+    failed = [c for c in doc["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["area_preservation"]
+    assert math.isnan(failed[0]["worst_margin"])
+    assert doc["overall"] is False
