@@ -15,7 +15,8 @@ Three subcommands:
     the rectangle coordinates, the complex chart point, and its action
     distance from the torus.
 
-The env var RELPACK_THREADS caps harness parallelism (default 1).
+The env var RELPACK_THREADS sets the verification thread count (default:
+every core the process may run on); it changes no reported number.
 """
 
 from __future__ import annotations

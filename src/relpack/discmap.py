@@ -34,8 +34,9 @@ __all__ = [
 
 _BALL_EDGE_TOL = 1e-14
 # Points per block: every batch is mapped in fixed slices of this many
-# points, so peak memory does not grow with the batch.
-_BLOCK = 16384
+# points, so peak memory does not grow with the batch (nor with the number
+# of blocks that verification threads have in flight at once).
+_BLOCK = 4096
 # Area solve of `sigma_inv` (see `_solve_area`): bracketing grid size and
 # lowest area, Newton step cap, and the log-area step that ends a row.
 _AREA_GRID = 32
@@ -59,21 +60,28 @@ def _flatten(*arrays):
     return [b.reshape(-1).copy() for b in bc], shape
 
 
-def _blocked(fn, arrays, mapper=map):
-    """Apply ``fn`` to fixed `_BLOCK`-row slices of ``arrays``; concatenate.
+def _slices(arrays):
+    """The fixed `_BLOCK`-row slices of ``arrays``, each a list of views.
 
-    Block boundaries depend on the row count alone and ``fn`` must act on
-    each row alone, so the result is the same for any ``mapper`` (such as
-    a thread pool's ``map``) and bitwise that of one unblocked call.
+    Block boundaries depend on the row count alone, so a function that acts
+    on each row alone gives, slice by slice and `_join`-ed, bitwise the
+    result of one unblocked call, in whatever order or thread the slices
+    run.
     """
+    return [[a[i : i + _BLOCK] for a in arrays]
+            for i in range(0, max(len(arrays[0]), 1), _BLOCK)]
 
-    def one(i):
-        return fn(*[a[i : i + _BLOCK] for a in arrays])
 
-    parts = list(mapper(one, range(0, max(len(arrays[0]), 1), _BLOCK)))
+def _join(parts):
+    """Concatenate per-slice results, array by array when they are tuples."""
     if isinstance(parts[0], tuple):
         return tuple(map(np.concatenate, zip(*parts)))
     return np.concatenate(parts)
+
+
+def _blocked(fn, arrays):
+    """Apply ``fn`` to each of the `_slices` of ``arrays``; `_join` them."""
+    return _join([fn(*s) for s in _slices(arrays)])
 
 
 def _restore(arr, shape):

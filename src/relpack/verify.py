@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,26 +153,46 @@ class VerificationReport:
 
 
 def resolve_threads(threads=None) -> int:
-    """Worker count: explicit argument, else RELPACK_THREADS, else 1."""
+    """Worker count, at most 64.
+
+    An explicit ``threads`` wins, then a non-empty RELPACK_THREADS, then
+    the number of cores this process may run on.
+    """
     if threads is None:
-        threads = os.environ.get("RELPACK_THREADS", "1")
+        env = os.environ.get("RELPACK_THREADS", "").strip()
+        if not env:
+            threads = _cores()
+        else:
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"RELPACK_THREADS must be an integer, got {env!r}") from None
     nt = int(threads)
     if nt < 1:
         raise ValueError("thread count must be >= 1")
     return min(nt, 64)
 
 
-def _run_chunks(fn, arrays, nthreads):
-    """Apply ``fn`` to the fixed row blocks of `discmap` on ``nthreads``.
+def _cores() -> int:
+    """Cores this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Block boundaries do not depend on the worker count, and callers only
-    ever reduce the result with max/min, so the outcome is independent of
-    threading.
+
+def _submit(ex, fn, arrays):
+    """Queue ``fn`` on each `discmap` row block of ``arrays``; return its join.
+
+    The returned function waits for the blocks and concatenates them.  With
+    no executor ``ex`` the pass runs in the calling thread when joined.
+    Block boundaries do not depend on the executor, and ``fn`` acts on
+    each row alone, so the result is bitwise the same either way.
     """
-    if nthreads <= 1:
-        return discmap._blocked(fn, arrays)
-    with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        return discmap._blocked(fn, arrays, ex.map)
+    if ex is None:
+        return lambda: discmap._blocked(fn, arrays)
+    futures = [ex.submit(fn, *s) for s in discmap._slices(arrays)]
+    return lambda: discmap._join([f.result() for f in futures])
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +314,46 @@ def _evaluate(params, uni, bnd, diam, mid, maps, nthreads):
     Every pool is mapped as flat factor points.  The main pool's go
     through ``sigma_jacobian`` once, and their images back through
     ``sigma_inv``; ``sigma`` maps the diameter and midline pools.  Each
-    chunk reduces its Jacobians to determinants, so no (N, 2, 2) array
-    outlives its chunk.
+    block reduces its Jacobians to determinants, so no (N, 2, 2) array
+    outlives its block.
+
+    One executor of ``nthreads`` workers takes the Jacobian, diameter and
+    midline blocks together, then the inverse blocks.  It is used only
+    when the main pool spans more than one block: a single block gains
+    nothing from a worker, whose own malloc arena would only add memory.
     """
     def forward(q, p):
         Q, P, J = maps.sigma_jacobian(q, p, params)
         return Q, P, J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
 
-    def inverse(Q, P):
-        return np.column_stack(maps.sigma_inv(Q, P, params))
+    def stacked(fn):  # the two outputs of ``fn`` as the columns of rows
+        return lambda a, b: np.column_stack(fn(a, b, params))
 
-    def images(aux):
-        fp = aux.reshape(-1, 2)
-        Q, P = _run_chunks(lambda q, p: maps.sigma(q, p, params),
-                           [fp[:, 0], fp[:, 1]], nthreads)
-        return np.column_stack([Q, P]).reshape(aux.shape)
+    def columns(a):
+        fp = a.reshape(-1, 2)
+        return [fp[:, 0], fp[:, 1]]
 
     k, m = len(uni), ROUND_TRIP_LIMIT
     pool = np.concatenate([uni, bnd], axis=0)
-    fp = pool.reshape(-1, 2)
-    Q, P, det = _run_chunks(forward, [fp[:, 0], fp[:, 1]], nthreads)
+    threaded = nthreads > 1 and pool.size // 2 > discmap._BLOCK
+    with ThreadPoolExecutor(nthreads) if threaded else nullcontext() as ex:
+        main = _submit(ex, forward, columns(pool))
+        aux = [_submit(ex, stacked(maps.sigma), columns(a)) for a in (diam, mid)]
+        Q, P, det = main()
+        inv = _submit(ex, stacked(maps.sigma_inv), [Q[:m], P[:m]])()
+        diam_images, mid_images = (
+            join().reshape(a.shape) for join, a in zip(aux, (diam, mid)))
     img = np.column_stack([Q, P]).reshape(pool.shape)
     return _Evaluation(
         params=params,
         pool=pool,
         images=img,
         det=det,
-        inverse=_run_chunks(inverse, [Q[:m], P[:m]], nthreads),
+        inverse=inv,
         diam=diam,
-        diam_images=images(diam),
+        diam_images=diam_images,
         mid=mid,
-        mid_images=images(mid),
+        mid_images=mid_images,
         chart=np.concatenate([img[: min(1000, k)], img[k : k + 200]], axis=0),
     )
 
@@ -482,7 +512,9 @@ def run_all(params: PackingParams, spec: SampleSpec | None = None,
     maps : MapSet, optional
         Map implementations to verify (tests inject faulty ones here).
     threads : int, optional
-        Worker threads; defaults to the RELPACK_THREADS env var, else 1.
+        Worker threads (see `resolve_threads`); defaults to RELPACK_THREADS,
+        else every core this process may run on.  A main pool of one
+        block is mapped in the calling thread whatever the count.
     """
     if spec is None:
         spec = SampleSpec("uniform-ball", 100000, 42)

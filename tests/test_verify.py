@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,16 +100,59 @@ def test_unknown_strategy_rejected(p28):
 
 def test_resolve_threads_env(monkeypatch):
     monkeypatch.delenv("RELPACK_THREADS", raising=False)
-    assert resolve_threads() == 1
+    cores = min(verify._cores(), 64)
+    assert cores >= 1
+    assert resolve_threads() == cores
+    monkeypatch.setenv("RELPACK_THREADS", "")  # empty means unset
+    assert resolve_threads() == cores
     monkeypatch.setenv("RELPACK_THREADS", "4")
     assert resolve_threads() == 4
     assert resolve_threads(2) == 2  # explicit argument wins
     monkeypatch.setenv("RELPACK_THREADS", "1000")
     assert resolve_threads() == 64  # capped
+    monkeypatch.setenv("RELPACK_THREADS", "abc")
+    with pytest.raises(ValueError, match="RELPACK_THREADS"):
+        resolve_threads()
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_threads_only_for_pools_of_several_blocks(p28, monkeypatch, block):
+    # 100 + 100 rows give 400 factor points: one block, which stays on the
+    # calling thread; in 64-row blocks the passes go to the workers
+    if block is not None:
+        monkeypatch.setattr(discmap, "_BLOCK", block)
+    idents = []
+
+    def recording(name):
+        fn = getattr(discmap, name)
+
+        def wrapped(a, b, params):
+            idents.append(threading.get_ident())
+            return fn(a, b, params)
+
+        return wrapped
+
+    run_all(p28, SampleSpec("uniform-ball", 100, 5), threads=4,
+            maps=MapSet(**{name: recording(name) for name in
+                           ("sigma", "sigma_inv", "sigma_jacobian")}))
+    on_main = [i == threading.get_ident() for i in idents]
+    assert all(on_main) if block is None else not any(on_main)
+
+
+def test_threads_do_not_raise_memory(p28):
+    # each worker holds one block in flight, so two threads must not cost
+    # more than a few blocks' temporaries beyond the one-thread run
+    tracemalloc.start()
+    try:
+        run_all(p28, SampleSpec("uniform-ball", 9000, 21), threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * 2**20
 
 
 def test_threaded_run_is_bit_identical(p28):
-    # 9000 + 900 rows give 19800 factor points: two chunks, so the Jacobian
+    # 9000 + 900 rows give 19800 factor points: five blocks, so the Jacobian
     # and round-trip passes really run on several threads
     spec = SampleSpec("uniform-ball", 9000, 21)
     r1 = run_all(p28, spec, threads=1)
