@@ -246,6 +246,23 @@ def _height(A, eps, order=0):
     return h, lnhp, lnhpp
 
 
+def _fft_length(n):
+    """The smallest integer at or above ``n`` with no prime factor above 7.
+
+    The sweep's DCT-I is a real FFT of ``2 * ncheb`` points, and pocketfft
+    falls back to a slow generic pass for a larger prime factor (a row of
+    984 = 2**3 * 3 * 41 points takes 1.75 times as long as one of 1000).
+    """
+    while True:
+        k = n
+        for p in (2, 3, 5, 7):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def _check_areas(A, area_max):
     """Raise ValueError unless every ``A`` lies in ``(0, area_max)``; NaN fails."""
     if not np.all((A > 0.0) & (A < area_max)):
@@ -346,6 +363,29 @@ def antideriv_nodes(b, work=None):
     return F
 
 
+def _node_bracket(b, total, tau4, work=None):
+    """Bracket each row's target ``tau4 * total`` between adjacent nodes.
+
+    ``b`` holds `cheb_antideriv` series of the sweep and ``total`` their
+    values at ``s = 1``.  The sweep's values on the Lobatto nodes
+    (`antideriv_nodes`) increase with ``s`` (``V_A > 0`` and the warp is
+    increasing), so counting the nodes below a target brackets its root.
+    Returns ``(j, f_lo, f_hi)``: the first node index below the target
+    (nodes run from ``s = 1`` down) and the sweep's values at nodes ``j``
+    and ``j - 1``.
+    """
+    M = b.shape[-1] - 2
+    F = antideriv_nodes(b, work)  # descending in j, like the nodes
+    # the end values are exact, and a target within the series' rounding of
+    # an end is then bracketed by the end's node
+    F[:, 0], F[:, -1] = total, 0.0
+    below = np.sum(F < (tau4 * total)[:, None], axis=-1)
+    j = M + 1 - np.clip(below, 1, M)
+    f_lo = np.take_along_axis(F, j[:, None], axis=-1)[:, 0]
+    f_hi = np.take_along_axis(F, j[:, None] - 1, axis=-1)[:, 0]
+    return j, f_lo, f_hi
+
+
 def clenshaw(c, x):
     """Evaluate ``sum_k c[...,k] * T_k(x)`` with Clenshaw recurrence.
 
@@ -424,7 +464,7 @@ class _CurveEngine:
             self.m_end = _fit_exponent(g_end)
         lam_end = self.area_max / (self.area_max + np.pi * self.eps)
         self.m_scale = 2.0 + (self.m_end - 2.0) / _smoothstep(lam_end)[0]
-        self.ncheb = int(max(192, 2.5 * self.m_end + 48))
+        self.ncheb = _fft_length(int(max(192, 2.5 * self.m_end + 48)))
         j = np.arange(self.ncheb + 1)
         self.xnodes = np.cos(np.pi * j / self.ncheb)  # 1 .. -1
         self._validate()
@@ -639,7 +679,7 @@ class _CurveEngine:
         rows = max(1, _SWEEP_ELEMS // (self.ncheb + 1))
         return [slice(i, i + rows) for i in range(0, N, rows)]
 
-    def build_sweep(self, sched, order=0):
+    def build_sweep(self, sched, order=0, tau4=None):
         """Antiderivative of the angular area-sweep density for each row.
 
         ``sched`` is the rows' `schedule` jet, to at least ``order + 1``.
@@ -650,10 +690,14 @@ class _CurveEngine:
         computed value is kept as the normalizer so that quadrature error
         cancels from the sweep fraction.  ``order=1`` appends ``(bA,
         totalA)``, the same integral of ``d2V/dA2`` over the same warped
-        contour (needed by the closed-form Jacobian).
+        contour (needed by the closed-form Jacobian).  Given sweep fractions
+        ``tau4``, it appends `solve_angle`'s node bracket of each row's
+        target ``tau4 * total`` (see `_node_bracket`).
 
         The node grid is evaluated in `row_blocks`, so beyond the returned
         ``(N, ncheb+2)`` coefficients the temporaries are O(`_SWEEP_ELEMS`).
+        A block's coefficients are bracketed while they are row-major and in
+        cache, before they are copied into the column-major result.
         """
         wp = self.warp_params(sched)
         N = wp[0].size
@@ -661,19 +705,27 @@ class _CurveEngine:
         # column-major, so `clenshaw` reads contiguous columns without a copy
         out = [np.empty((N, self.ncheb + 2), order="F") for _ in range(order + 1)]
         totals = [np.empty(N) for _ in range(order + 1)]
+        if tau4 is not None:
+            bracket = (np.empty(N, dtype=np.intp), np.empty(N), np.empty(N))
         work = dct_work(self.ncheb, N)
         for sl in self.row_blocks(N):
             rows = tuple(x[sl, None] for x in sched)
             wp_col = tuple(x[sl, None] for x in wp)
             density = self.sweep_density(rows, s, wp_col, order)
-            for b, total, g in zip(out, totals, density):
+            for k, g in enumerate(density):
                 # the density grid is not needed again: its coefficients
                 # are written over it
-                b[sl] = c = cheb_antideriv(cheb_coeffs(g, work, g))
+                c = cheb_antideriv(cheb_coeffs(g, work, g))
                 # the series at alpha = pi/2, i.e. s = 1, where every T_k is 1
-                total[sl] = c.sum(-1)
+                totals[k][sl] = c.sum(-1)
+                if k == 0 and tau4 is not None:
+                    found = _node_bracket(c, totals[0][sl], tau4[sl], work)
+                    for x, y in zip(bracket, found):
+                        x[sl] = y
+                out[k][sl] = c
             del density, g, c  # freed before the next block's grid is built
-        return (out[0], totals[0], wp, *out[1:], *totals[1:])
+        extra = (bracket,) if tau4 is not None else ()
+        return (out[0], totals[0], wp, *out[1:], *totals[1:], *extra)
 
     def sweep_density(self, sched, s, wp, order=0):
         """``(V_A * alpha'(s),)``: the s-derivative of the `build_sweep` series
@@ -684,37 +736,22 @@ class _CurveEngine:
             v *= dal
         return jet
 
-    def solve_angle(self, sched, b, total, wp, tau4):
+    def solve_angle(self, sched, b, total, wp, tau4, bracket):
         """Invert the quarter sweep: find alpha with Phi(alpha)/total = tau4.
 
-        ``sched`` is the rows' `schedule` jet, to at least first order.  The
-        sweep's values on the Lobatto nodes increase with ``s`` (``V_A > 0``
-        and the warp is increasing), so counting the nodes below each
-        target brackets its root between two adjacent nodes; the node values
-        are built and searched one of `row_blocks` at a time.  Newton steps
-        on the cubic Hermite through the node values and `sweep_density`
-        give the start; a fixed number of safeguarded Newton steps on the
-        series (a `clenshaw` value, `sweep_density` slope) finish, so a
-        point's result does not depend on its batch.  An iterate whose
-        residual is within the series' rounding is latched, so neither a
-        stale bracket nor rounding noise displaces it; near the ends, where
-        the target may be below that noise, the start from the exact end
-        value is what resolves the angle.
+        ``sched`` is the rows' `schedule` jet, to at least first order, and
+        ``bracket`` the node bracket `build_sweep` returns for ``tau4``.
+        Newton steps on the cubic Hermite through the bracket's node values
+        and `sweep_density` give the start; a fixed number of safeguarded
+        Newton steps on the series (a `clenshaw` value, `sweep_density`
+        slope) finish, so a point's result does not depend on its batch.  An
+        iterate whose residual is within the series' rounding is latched, so
+        neither a stale bracket nor rounding noise displaces it; near the
+        ends, where the target may be below that noise, the start from the
+        exact end value is what resolves the angle.
         """
         target = tau4 * total
-        M = b.shape[-1] - 2
-        j = np.empty(target.shape, dtype=np.intp)
-        f_lo, f_hi = np.empty_like(target), np.empty_like(target)
-        work = dct_work(M, target.size)
-        for sl in self.row_blocks(target.size):
-            F = antideriv_nodes(b[sl], work)  # descending in j, like the nodes
-            # the end values are exact, and a target within the series'
-            # rounding of an end is then bracketed by the end's node
-            F[:, 0], F[:, -1] = total[sl], 0.0
-            below = np.sum(F < target[sl, None], axis=-1)
-            j[sl] = jb = M + 1 - np.clip(below, 1, M)  # first node below
-            f_lo[sl] = np.take_along_axis(F, jb[:, None], axis=-1)[:, 0]
-            f_hi[sl] = np.take_along_axis(F, jb[:, None] - 1, axis=-1)[:, 0]
+        j, f_lo, f_hi = bracket
         lo, hi = self.xnodes[j], self.xnodes[j - 1]
         # the cubic Hermite through the node values and slopes, less f_lo,
         # in t = (s - lo) / ds:  t * (g0 + t * (c2 + t * c3))

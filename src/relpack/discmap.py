@@ -157,12 +157,12 @@ def _curve_block(eng, A, tau4, sq, sp, order):
         alpha = np.where(tau4 <= 0.0, 0.0, np.pi / 2.0)
         off = np.flatnonzero((tau4 > 0.0) & (tau4 < 1.0))
         if off.size:
-            rows = tuple(x[off] for x in sched)
-            b, total, wp = eng.build_sweep(rows)
-            alpha[off] = eng.solve_angle(rows, b, total, wp, tau4[off])[0]
+            rows, t = tuple(x[off] for x in sched), tau4[off]
+            b, total, wp, bracket = eng.build_sweep(rows, 0, t)
+            alpha[off] = eng.solve_angle(rows, b, total, wp, t, bracket)[0]
     else:
-        b, total, wp, *sweep_A = eng.build_sweep(sched, order)
-        alpha, s = eng.solve_angle(sched, b, total, wp, tau4)
+        b, total, wp, *sweep_A, bracket = eng.build_sweep(sched, order, tau4)
+        alpha, s = eng.solve_angle(sched, b, total, wp, tau4, bracket)
     jet = eng.radius_jet(sched, alpha, order, angle=order > 0)
     R = np.sqrt(jet[0] if order else jet)
     ca, sa = np.cos(alpha), np.sin(alpha)
@@ -426,17 +426,22 @@ def sigma_jacobian(q, p, params: PackingParams):
     return *_centred(eng, Q, P, interior, shape), J.reshape(shape + (2, 2))
 
 
-def _curve_polyline(eng, A, nvert):
-    """Closed polyline on the level curve with corner-clustered vertices.
+def _quarter_arc(eng, A, nvert):
+    """First-quadrant arc of the level curve at ``A``, for ``nvert`` vertices.
 
-    ``nvert`` must be a multiple of 4; vertices in each quadrant follow the
-    sinh warp used by the quadrature, which concentrates them where the
-    curve bends fastest.
+    ``nvert`` must be a multiple of 4; the ``nvert/4 + 1`` arc vertices
+    follow the sinh warp used by the quadrature, which concentrates them
+    where the curve bends fastest.  The warped abscissae are dyadic, so
+    every second vertex is, bit for bit, the arc for ``nvert/2``.
     """
     sched = eng.schedule(np.asarray([A]))
     al = eng.warp(np.linspace(-1.0, 1.0, nvert // 4 + 1), eng.warp_params(sched))[0]
     R = np.sqrt(eng.radius_jet(sched, al))
-    xq, yq = R * np.cos(al), R * np.sin(al)
+    return R * np.cos(al), R * np.sin(al)
+
+
+def _closed_polyline(xq, yq):
+    """The closed polyline through a `_quarter_arc` and its three mirrors."""
     x = np.concatenate([xq[:-1], -xq[::-1][:-1], -xq[:-1], xq[::-1][:-1]])
     y = np.concatenate([yq[:-1], yq[::-1][:-1], -yq[:-1], -yq[::-1][:-1]])
     return x, y
@@ -450,10 +455,13 @@ def enclosed_area(A, params: PackingParams) -> float:
     """Independently measure the area enclosed by the level curve at ``A``.
 
     Polygonal (shoelace) area of a corner-clustered polyline, Richardson
-    extrapolated over a doubling ladder of vertex counts.  This shares no
-    code path with the sweep quadrature inside `sigma`, which is what makes
-    it useful as an oracle: agreement with ``A`` certifies the curve family
-    itself, independent of the map built on top of it.
+    extrapolated over a doubling ladder of 2048, 4096 and 8192 vertices.
+    The curve is evaluated once, on the finest ladder's `_quarter_arc`, and
+    the coarser ladders take every fourth and every second of its vertices,
+    which are theirs bit for bit.  This shares no code path with the sweep
+    quadrature inside `sigma`, which is what makes it useful as an oracle:
+    agreement with ``A`` certifies the curve family itself, independent of
+    the map built on top of it.
 
     Raises
     ------
@@ -465,11 +473,8 @@ def enclosed_area(A, params: PackingParams) -> float:
     """
     A = float(A)
     _check_areas(A, params.area_max)
-    eng = _engine(params)
-    areas = []
-    for nvert in (2048, 4096, 8192):
-        x, y = _curve_polyline(eng, A, nvert)
-        areas.append(_shoelace(x, y))
+    xq, yq = _quarter_arc(_engine(params), A, 8192)
+    areas = [_shoelace(*_closed_polyline(xq[::k], yq[::k])) for k in (4, 2, 1)]
     rich1 = (4.0 * areas[1] - areas[0]) / 3.0
     rich2 = (4.0 * areas[2] - areas[1]) / 3.0
     if abs(rich2 - rich1) > 1e-7 * A:

@@ -288,6 +288,29 @@ def test_endpoint_exponent_regression(n, r, m_end):
     assert eng.ncheb >= 192
 
 
+def _is_7_smooth(k):
+    for p in (2, 3, 5, 7):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+@pytest.mark.parametrize(
+    "n, r, ncheb",
+    [(2, 0.8, 192), (3, 0.7, 192), (4, 0.63, 210), (6, 0.534, 500),
+     (8, 0.47, 250), (3, 0.705, 336)],
+)
+def test_series_length_is_fft_friendly(n, r, ncheb):
+    # the DCT-I is a real FFT of 2*ncheb points: the length is the smallest
+    # at or above the resolution rule with no prime factor above 7
+    eng = _engine(make_params(n, r))
+    need = int(max(192, 2.5 * eng.m_end + 48))
+    assert eng.ncheb >= need
+    assert _is_7_smooth(2 * eng.ncheb)
+    assert not any(_is_7_smooth(2 * k) for k in range(need, eng.ncheb))
+    assert eng.ncheb == ncheb
+
+
 def test_small_curves_are_round(p28):
     h, a, m = shape_schedule(1e-8 * p28.area_max, p28)
     assert m == pytest.approx(2.0, abs=1e-8)
@@ -512,8 +535,8 @@ _SOLVE_CASES = [(2, 0.8), (3, 0.7), (4, 0.63), (6, 0.534)]
 def test_solve_angle_residual_at_roundoff(n, r):
     eng, A, tau = _solve_grid(n, r)
     sched = eng.schedule(A, 1)
-    b, total, wp = eng.build_sweep(sched)
-    _, s = eng.solve_angle(sched, b, total, wp, tau)
+    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
+    _, s = eng.solve_angle(sched, b, total, wp, tau, bracket)
     assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 2e-15
 
 
@@ -522,18 +545,42 @@ def test_solve_angle_hermite_start(n, r, monkeypatch):
     # the start alone, so a poor start cannot hide behind the Newton steps
     eng, A, tau = _solve_grid(n, r)
     sched = eng.schedule(A, 1)
-    b, total, wp = eng.build_sweep(sched)
+    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
     monkeypatch.setattr(curves, "_NEWTON_STEPS", 0)
-    _, s = eng.solve_angle(sched, b, total, wp, tau)
+    _, s = eng.solve_angle(sched, b, total, wp, tau, bracket)
     assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 1e-7
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_sweep_build_brackets_from_its_row_blocks(n, r):
+    # the bracket the build takes from each row-major block is the one a
+    # pass of `antideriv_nodes` over the whole column-major result gives
+    eng, A, tau = _solve_grid(n, r)
+    assert len(eng.row_blocks(A.size)) > 1
+    sched = eng.schedule(A, 2)
+    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
+    assert b.flags.f_contiguous
+    M = eng.ncheb
+    F = antideriv_nodes(b)
+    F[:, 0], F[:, -1] = total, 0.0
+    below = np.sum(F < (tau * total)[:, None], axis=-1)
+    j = M + 1 - np.clip(below, 1, M)
+    rows = np.arange(A.size)
+    for x, y in zip(bracket, (j, F[rows, j], F[rows, j - 1])):
+        assert np.array_equal(x, y)
+    # the same series without a bracket, and the same bracket at order 1
+    plain = eng.build_sweep(sched)
+    assert np.array_equal(plain[0], b) and np.array_equal(plain[1], total)
+    *_, bracket1 = eng.build_sweep(sched, 1, tau)
+    assert all(np.array_equal(x, y) for x, y in zip(bracket, bracket1))
 
 
 def test_solve_angle_series_passes(p28, monkeypatch):
     eng = _engine(p28)
     rng = np.random.default_rng(3)
     A = rng.uniform(1e-6, 0.999, 64) * eng.area_max
+    tau = rng.random(64)
     sched = eng.schedule(A, 1)
-    b, total, wp = eng.build_sweep(sched)
     passes = []
 
     def counting(name):
@@ -547,5 +594,9 @@ def test_solve_angle_series_passes(p28, monkeypatch):
 
     for name in ("antideriv_nodes", "clenshaw"):
         monkeypatch.setattr(curves, name, counting(name))
-    eng.solve_angle(sched, b, total, wp, rng.random(64))
+    # the node values are taken once, in the build's one row block; the
+    # solve then makes two series passes
+    assert len(eng.row_blocks(64)) == 1
+    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
+    eng.solve_angle(sched, b, total, wp, tau, bracket)
     assert passes == ["antideriv_nodes", "clenshaw", "clenshaw"]

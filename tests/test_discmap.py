@@ -223,9 +223,9 @@ def _sweep_heights(eng, monkeypatch):
     seen = []
     build = eng.build_sweep
 
-    def recording(sched, order=0):
+    def recording(sched, order=0, tau4=None):
         seen.append(np.array(sched[0], dtype=float).ravel())
-        return build(sched, order)
+        return build(sched, order, tau4)
 
     monkeypatch.setattr(eng, "build_sweep", recording)
     return lambda: np.concatenate(seen) if seen else np.empty(0)
@@ -516,14 +516,45 @@ def test_enclosed_area_matches(p28):
 
 
 def test_enclosed_area_flags_bad_quadrature(p28, monkeypatch):
-    def noisy_polyline(eng, A, nvert):
-        th = np.linspace(0.0, 2.0 * np.pi, nvert, endpoint=False)
-        rad = np.sqrt(A / np.pi) * (1.0 + 0.01 * np.sin(float(nvert)))
-        return np.pi / 2.0 + rad * np.cos(th), p28.c + rad * np.sin(th)
+    def noisy_arc(eng, A, nvert):
+        # every fourth vertex off the circle: only the finest ladder sees it
+        th = np.linspace(0.0, np.pi / 2.0, nvert // 4 + 1)
+        rad = np.sqrt(A / np.pi) * (1.0 + 0.01 * (np.arange(th.size) % 4 == 1))
+        return rad * np.cos(th), rad * np.sin(th)
 
-    monkeypatch.setattr(discmap, "_curve_polyline", noisy_polyline)
+    monkeypatch.setattr(discmap, "_quarter_arc", noisy_arc)
     with pytest.raises(QuadratureNonConvergent):
         enclosed_area(0.5, p28)
+
+
+def _ladder_reference(params, A):
+    """The oracle's extrapolants from three separately built polylines."""
+    eng = curves._engine(params)
+    areas = []
+    for nvert in (2048, 4096, 8192):
+        sched = eng.schedule(np.asarray([A]))
+        s = np.linspace(-1.0, 1.0, nvert // 4 + 1)
+        al = eng.warp(s, eng.warp_params(sched))[0]
+        R = np.sqrt(eng.radius_jet(sched, al))
+        xq, yq = R * np.cos(al), R * np.sin(al)
+        x = np.concatenate([xq[:-1], -xq[::-1][:-1], -xq[:-1], xq[::-1][:-1]])
+        y = np.concatenate([yq[:-1], yq[::-1][:-1], -yq[:-1], -yq[::-1][:-1]])
+        areas.append(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return (4.0 * areas[1] - areas[0]) / 3.0, (4.0 * areas[2] - areas[1]) / 3.0
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_enclosed_area_ladder_is_bitwise_three_polylines(n, r):
+    # one curve, strided for the coarser ladders, gives bit for bit what
+    # three curves built at 2048, 4096 and 8192 vertices give
+    params = make_params(n, r)
+    for A in np.geomspace(1e-6, 1.0 - 1e-9, 24) * params.area_max:
+        rich1, rich2 = _ladder_reference(params, A)
+        if abs(rich2 - rich1) > 1e-7 * A:
+            with pytest.raises(QuadratureNonConvergent):
+                enclosed_area(A, params)
+        else:
+            assert enclosed_area(A, params) == float(rich2)
 
 
 # ---------------------------------------------------------------------------
