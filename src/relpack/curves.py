@@ -22,8 +22,9 @@ quantity once, as a jet whose ``order`` argument selects how many
 ``A``-derivatives to append: ``schedule`` for ``(h, a, m)``, ``radius_jet``
 for the squared polar radius, and ``build_sweep`` for the area-sweep series,
 so the map, its inverse and its Jacobian evaluate the same formulas.  The
-last two take a row's schedule jet, so a map call computes it once for
-every step.
+inverse reads the sweep fraction in closed form instead, from
+``sweep_fraction``.  All but ``schedule`` take a row's schedule jet, so a
+map call computes it once for every step.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617
 # `_fit_exponent`: step cap, and the relative step in m**-2 that ends it.
 _FIT_STEPS = 60
 _FIT_TOL = 2.0**-50
+# Terms of `sweep_fraction`'s hypergeometric series past the first: each is
+# at most z <= 1/2 times the one before, so the rest is below 2**-56.
+_BETA_TERMS = 56
 
 
 def area_factor(m):
@@ -348,6 +352,15 @@ def cheb_antideriv(c):
     return b
 
 
+@functools.lru_cache(maxsize=16)
+def _last_term_nodes(M):
+    """``T_{M+1}(x_j) = (-1)**j * x_j`` at the Lobatto nodes, read-only."""
+    j = np.arange(M + 1)
+    t = (-1.0) ** j * np.cos(np.pi * j / M)
+    t.flags.writeable = False
+    return t
+
+
 def antideriv_nodes(b, work=None):
     """Values of a `cheb_antideriv` series at its integrand's Lobatto nodes.
 
@@ -357,9 +370,8 @@ def antideriv_nodes(b, work=None):
     the last adds in closed form, ``T_{M+1}(x_j) = (-1)**j * x_j``.
     """
     M = b.shape[-1] - 2
-    j = np.arange(M + 1)
     F = _dct1(b[..., : M + 1], 2.0, work, ends=2.0)
-    F += b[..., M + 1 :] * ((-1.0) ** j * np.cos(np.pi * j / M))
+    F += b[..., M + 1 :] * _last_term_nodes(M)
     return F
 
 
@@ -418,6 +430,31 @@ def _clenshaw_float(c, x):
     for ck in reversed(c[1:]):
         b1, b2 = ck + x2 * b1 - b2, b1
     return c[0] + x * b1 - b2
+
+
+def _sweep_tail(ez, p, G, lam, E, X, Y, c):
+    """``G * W``, the last steps of `sweep_fraction`, on floats or arrays.
+
+    With ``z = ez/(1 + ez)``, sums ``T = sum_{k>=1} (2p)_k/(p+1)_k z**k``
+    over `_BETA_TERMS` terms and its p-derivative ``T_p``, in which a
+    term's log-derivative is the running sum of ``2/(2p+j) - 1/(p+1+j) =
+    (j+2)/((2p+j)(p+1+j))``.  The augmented assignments update arrays in
+    place and rebind floats, so both take the same steps (as in
+    `_log_area_factor_jet`).
+    """
+    z = ez / (1.0 + ez)
+    tp, p1 = 2.0 * p, p + 1.0
+    s, T, D, Tp = 1.0 + 0.0 * z, 0.0 * z, 0.0 * z, 0.0 * z
+    for j in range(_BETA_TERMS):
+        u, v = tp + j, p1 + j
+        s *= u
+        s /= v
+        s *= z
+        T += s
+        D += (j + 2.0) / (u * v)
+        Tp += s * D
+    W = X * (2.0 + T) + (Y + 2.0 * c * lam) * T + c * (2.0 * E * (1.0 + T) - Tp)
+    return G * W
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +704,67 @@ class _CurveEngine:
         z *= w * beta
         return alpha, z
 
-    @staticmethod
-    def warp_s(alpha, wp):
-        alpha_c, w, beta, s_c = wp
-        return s_c + np.arcsinh((alpha - alpha_c) / w) / beta
-
     # -- area sweep ----------------------------------------------------------
+
+    def sweep_fraction(self, A, sched, alpha):
+        """Quarter sweep fraction ``tau(A, alpha)`` of each row, in closed form.
+
+        ``sched`` is the rows' `schedule` jet at areas ``A``, to at least
+        first order, and ``alpha`` in ``(0, pi/2]`` their quarter angles.
+        ``tau`` is the share of the quarter sweep ``integral_0^alpha V_A``
+        (whose total is 1/2) that `build_sweep`'s series gives by
+        quadrature.  In the form ``x = a cos(psi)**(2/m)``, ``y = h
+        sin(psi)**(2/m)`` the sector up to ``alpha`` has area ``A/4 *
+        I_z(p, p)``, the regularized incomplete beta function at ``p = 1/m``,
+        ``z = sin(psi)**2`` and ``tan(psi) = ((a/h) tan(alpha))**(m/2)``, so
+        ``tau = d/dA [A I] = I + A (I_z z_A + I_p p_A)``.
+
+        With ``lam = |log tan(psi)|`` and ``ez = exp(-2 lam)``, the smaller
+        of ``z`` and ``1 - z`` is ``ez/(1 + ez)``, and ``E = log1p(ez)`` is
+        minus the log of the larger: no power ``(.)**(m/2)``, which
+        overflows at ``m = 512``.  For the smaller, DLMF 8.17.8 gives ``I =
+        G (1 + T)`` with ``G = (z (1 - z))**p / (p B(p, p))`` and the series
+        ``T`` of `_sweep_tail`; above ``z = 1/2``, ``I = 1 - I_{1-z}``.  The
+        schedule sets ``a = A/(4 h area_factor(m))``, so ``p B(p, p) = 2
+        area_factor(m) = A/(2 a h)``, and differentiating ``log A`` gives
+        ``A m_A d(log area_factor)/dm = 1 - kappa - eta`` with ``kappa = A
+        a_A/a`` and ``eta = A h_A/h``.  The normaliser's p-derivative then
+        cancels against ``I``, as the ``log tan(alpha)`` terms of ``z_A``
+        and ``I_p`` cancel each other, which leaves ``tau = G W`` for ``z <=
+        1/2`` and ``1 - tau = G W`` above, where ``W = X (2 + T) + (Y + 2 c
+        lam) T + c (2 E (1 + T) - T_p)``, ``c = A m_A/m**2`` and ``(X, Y)``
+        is ``(kappa, eta)``, or ``(eta, kappa)`` above.  Its leading term
+        ``2 X`` is positive and the others are ``O(z)``, so ``tau`` keeps
+        its relative accuracy as ``alpha -> 0``, where the terms of the
+        literal form cancel.
+
+        Up to `_FLOAT_POINTS` rows take `_sweep_tail` in Python floats, by
+        the same steps as an array, so a value does not depend on its batch.
+        """
+        h, a, m, hp, ap, mp = sched[:6]
+        p = 1.0 / m
+        # tan(psi)**p = t and (z (1 - z))**p = min(t, 1/t) exp(-2 p E): the
+        # power is formed from t, as exp(-2 p lam) would scale the rounding
+        # of lam by |log t| (690 at alpha = 1e-300)
+        t = np.tan(alpha)
+        t *= a / h
+        upper = t > 1.0
+        lam = np.abs(np.log(t))
+        lam *= 0.5 * m
+        ez = np.exp(-2.0 * lam)  # the smaller of z and 1 - z over the larger
+        E = np.log1p(ez)
+        G = np.exp(-2.0 * p * E)
+        G *= np.where(upper, 1.0 / t, t)
+        G *= 2.0 * a * h / A
+        kappa, eta = A * ap / a, A * hp / h
+        X, Y = np.where(upper, eta, kappa), np.where(upper, kappa, eta)
+        args = (ez, p, G, lam, E, X, Y, A * mp * p * p)
+        if ez.size > _FLOAT_POINTS:
+            GW = _sweep_tail(*args)
+        else:
+            rows = zip(*(x.ravel().tolist() for x in args))
+            GW = np.array([_sweep_tail(*row) for row in rows]).reshape(ez.shape)
+        return np.where(upper, 1.0 - GW, GW)
 
     def row_blocks(self, N):
         """Fixed slices of ``N`` rows, each about `_SWEEP_ELEMS` node values."""

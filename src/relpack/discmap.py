@@ -91,7 +91,7 @@ def _restore(arr, shape):
 
 
 def _quadrant(x, y):
-    """The `_QUADRANTS` row ``(t0, sq, sp)`` of each point ``(x, y)``, by signs.
+    """The coordinate signs ``(sq, sp)`` of each point's `_QUADRANTS` row.
 
     The quadrants are closed at the top: a point on an axis takes the one
     of ``t = 0, 0.25, 0.5, 0.75``, and the centre the first.
@@ -99,7 +99,7 @@ def _quadrant(x, y):
     neg_x = (x < 0.0) | ((x == 0.0) & (y > 0.0))
     neg_y = (y < 0.0) | ((y == 0.0) & (x < 0.0))
     # (+, +) -> 0, (-, +) -> 1, (-, -) -> 2, (+, -) -> 3
-    return _QUADRANTS.take(3 * neg_y ^ neg_x, axis=0).T
+    return _QUADRANTS.take(3 * neg_y ^ neg_x, axis=0)[:, 1:].T
 
 
 def _fold_angle(t):
@@ -131,7 +131,7 @@ def _fold_point(q, p):
     (``t + 1`` rounds to 1 there).
     """
     tau4 = 4.0 * (np.arctan2(np.abs(p), np.abs(q)) / (2.0 * np.pi))
-    _, sq, sp = _quadrant(q, p)
+    sq, sp = _quadrant(q, p)
     return tau4, sq * sp, sq, sp
 
 
@@ -338,8 +338,10 @@ def sigma_inv(Q, P, params: PackingParams):
     angle is the sweep fraction of that curve at the point's quarter angle.
     On the centre lines ``P = c`` and ``Q = pi/2`` symmetry fixes that
     fraction, and the point comes back exactly on the matching disc axis.
-    Like `sigma`, it works on fixed blocks of `_BLOCK` points, so its peak
-    memory is O(`_BLOCK` * ncheb) beyond the inputs and outputs.
+    That fraction is read in closed form (`_CurveEngine.sweep_fraction`),
+    with no series.  Like `sigma`, it works on fixed blocks of `_BLOCK`
+    points, so its peak memory is O(`_BLOCK` * `_AREA_GRID`) beyond the
+    inputs and outputs.
 
     Raises
     ------
@@ -377,16 +379,17 @@ def _inverse_block(eng, Q, P, grid):
     phi_q = np.where(up == 0.0, 0.0, 0.25)
     off = np.flatnonzero((up != 0.0) & (xi != 0.0))
     if off.size:
-        b, total, wp = eng.build_sweep(eng.schedule(A[off], 1))
-        s = np.clip(eng.warp_s(alpha_q[off], wp), -1.0, 1.0)
-        phi_q[off] = clenshaw(b, s) / (4.0 * total)
-    # unfold the quarter sweep into the quadrant of (xi, up)
-    t0, sq, sp = _quadrant(xi, up)
-    t = t0 + sq * sp * phi_q
-    root, th = np.sqrt(A / np.pi), 2.0 * np.pi * t
+        A_off = A[off]
+        tau = eng.sweep_fraction(A_off, eng.schedule(A_off, 1), alpha_q[off])
+        phi_q[off] = np.clip(0.25 * tau, 0.0, 0.25)
+    # unfold it into the quadrant of (xi, up): on [0, 1/4] the cosine and
+    # sine of 2 pi phi_q are >= 0, so the signs are the quadrant's, and a
+    # point next to a centre line comes back on its side of the disc axis
+    sq, sp = _quadrant(xi, up)
+    root, th = np.sqrt(A / np.pi), 2.0 * np.pi * phi_q
     # a point on a centre line (or the centre) comes back on a disc axis
-    q = np.where(xi == 0.0, 0.0, root * np.cos(th))
-    p = np.where(up == 0.0, 0.0, root * np.sin(th))
+    q = np.where(xi == 0.0, 0.0, sq * root * np.cos(th))
+    p = np.where(up == 0.0, 0.0, sp * root * np.sin(th))
     return q, p
 
 

@@ -508,6 +508,88 @@ def test_level_curve_invariants(frac):
 
 
 # ---------------------------------------------------------------------------
+# closed-form sweep fraction
+
+
+def _tau_reference(mp, A, row, alpha):
+    """``tau = I + A (I_z z_A + I_p p_A)`` at 40 digits, from the float jet.
+
+    The reference reflects: above ``z = 1/2`` it takes ``1 - I_{1-z}`` with
+    ``1 - z`` from ``log(1 - z)``, where ``betainc`` at ``z`` would round
+    ``z`` to 1.  ``I_p`` is a numerical derivative of mpmath's ``betainc``.
+    """
+    with mp.workdps(40):
+        h, a, m, h_A, a_A, m_A = (mp.mpf(float(x)) for x in row)
+        A, alpha, p = mp.mpf(float(A)), mp.mpf(float(alpha)), 1 / m
+        ell = mp.log(a / h) + mp.log(mp.tan(alpha))
+        L = m / 2 * ell
+        log_z, log_1mz = -mp.log1p(mp.exp(-2 * L)), -mp.log1p(mp.exp(2 * L))
+        z_small = mp.exp(log_z if L <= 0 else log_1mz)
+
+        def I(q):
+            frac = mp.betainc(q, q, 0, z_small, regularized=True)
+            return frac if L <= 0 else 1 - frac
+
+        L_A = m_A / 2 * ell + m / 2 * (a_A / a - h_A / h)
+        I_z_z_A = 2 * mp.exp(p * (log_z + log_1mz)) / mp.beta(p, p) * L_A
+        return float(I(p) + A * (I_z_z_A - mp.diff(I, p) * m_A / m**2))
+
+
+def _tau_points(eng, count, rng):
+    """Areas over the whole range and angles from 1e-300 to the float pi/2,
+    the nearest a float angle comes to the top end."""
+    A = eng.area_max * np.concatenate(
+        [np.geomspace(1e-8, 1.0 - 1e-9, count // 2), rng.random(count - count // 2)]
+    )
+    k = count // 4
+    alpha = np.concatenate(
+        [
+            [1e-300, np.pi / 2.0, np.nextafter(np.pi / 2.0, 0.0)],
+            np.geomspace(1e-300, 0.1, k),
+            np.pi / 2.0 - np.geomspace(1e-15, 0.1, k),
+            rng.uniform(0.0, np.pi / 2.0, count - 2 * k - 3),
+        ]
+    )
+    return rng.permutation(A), rng.permutation(alpha)
+
+
+@pytest.mark.parametrize(
+    "n, r", [(2, 0.8), (2, 0.81), (3, 0.7), (4, 0.63), (6, 0.534)]
+)
+def test_sweep_fraction_matches_mpmath(n, r):
+    mp = pytest.importorskip("mpmath")
+    eng = _engine(make_params(n, r))
+    A, alpha = _tau_points(eng, 200, np.random.default_rng(n * 100 + int(r * 100)))
+    sched = eng.schedule(A, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = eng.sweep_fraction(A, sched, alpha)
+    ref = np.array([_tau_reference(mp, *x) for x in zip(A, zip(*sched), alpha)])
+    assert np.max(np.abs(tau - ref)) <= 1e-15
+    small = ref < 1e-3
+    assert small.sum() > 40
+    assert np.max(np.abs(tau[small] / ref[small] - 1.0)) <= 1e-12
+    # a few rows are summed in floats, with the bits of the batch
+    for k in (slice(0, 1), slice(3, 11)):
+        one = eng.sweep_fraction(A[k], tuple(x[k] for x in sched), alpha[k])
+        assert np.array_equal(one, tau[k])
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_sweep_fraction_at_the_midline_is_twice_the_radius_rate(n, r):
+    # d tau/d alpha = 2 V_A, so tau/alpha -> 2 V_A(A, 0) as alpha -> 0
+    eng = _engine(make_params(n, r))
+    A = eng.area_max * np.geomspace(1e-8, 1.0 - 1e-9, 300)
+    sched = eng.schedule(A, 1)
+    tau = eng.sweep_fraction(A, sched, np.full(A.size, 1e-300))
+    _, V_A = eng.radius_jet(sched, np.zeros(A.size), 1)
+    assert np.max(np.abs(tau / 1e-300 / (2.0 * V_A) - 1.0)) <= 1e-12
+    # and the whole quarter sweep is 1, to the float pi/2's rounding
+    top = eng.sweep_fraction(A, sched, np.full(A.size, np.pi / 2.0))
+    assert np.max(np.abs(top - 1.0)) <= 1e-16
+
+
+# ---------------------------------------------------------------------------
 # sweep-angle solve
 
 
@@ -549,6 +631,21 @@ def test_solve_angle_hermite_start(n, r, monkeypatch):
     monkeypatch.setattr(curves, "_NEWTON_STEPS", 0)
     _, s = eng.solve_angle(sched, b, total, wp, tau, bracket)
     assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 1e-7
+
+
+@pytest.mark.parametrize("n, r", _SOLVE_CASES)
+def test_solved_angle_has_its_closed_form_fraction(n, r):
+    # the series and the closed form are independent; they differ most in
+    # the band of areas where the fixed-length series is not resolved
+    # (1.4e-11 at n=3, A/A_max = 4e-4)
+    eng, A, tau = _solve_grid(n, r)
+    sched = eng.schedule(A, 1)
+    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
+    alpha, _ = eng.solve_angle(sched, b, total, wp, tau, bracket)
+    off = alpha > 0.0
+    closed = eng.sweep_fraction(A[off], tuple(x[off] for x in sched), alpha[off])
+    diff = np.abs(closed - tau[off])
+    assert np.median(diff) <= 1e-14 and np.max(diff) <= 3e-11
 
 
 @pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])

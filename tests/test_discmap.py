@@ -379,8 +379,9 @@ def test_round_trip_adversarial(n, r):
 
 
 def test_inverse_radius_passes(p28, monkeypatch, rng):
-    # a grid pass brackets the area, Newton steps finish it, and the sweep
-    # build makes one more: a handful of radius passes, not a bisection
+    # a grid pass brackets the area and Newton steps finish it: a handful
+    # of radius passes, not a bisection; the closed-form sweep fraction
+    # makes none
     eng = discmap._engine(p28)
     pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 64)
     Q, P = sigma(pts[:, 0], pts[:, 1], p28)
@@ -397,7 +398,7 @@ def test_inverse_radius_passes(p28, monkeypatch, rng):
         calls[0] = 0
         sigma_inv(a, b, p28)
         per_point.append(calls[0])
-    assert np.median(per_point) <= 6
+    assert np.median(per_point) <= 4
 
 
 @pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
@@ -409,10 +410,47 @@ def test_inverse_returns_axis_points_exactly(n, r, rng, monkeypatch):
     assert np.all(p == 0.0) and np.array_equal(np.sign(q), np.sign(s))
     q, p = sigma_inv(*sigma(zero, s, params), params)
     assert np.all(q == 0.0) and np.array_equal(np.sign(p), np.sign(s))
-    # symmetry fixes their sweep fraction, so no sweep is built for them
-    seen = _sweep_heights(curves._engine(params), monkeypatch)
-    sigma_inv(*sigma(np.append(s, zero), np.append(zero, s), params), params)
-    assert seen().size == 0
+    # no point builds a sweep series, and symmetry fixes the sweep fraction
+    # of the axis points, so they do not reach the closed form either
+    axes = sigma(np.append(s, zero), np.append(zero, s), params)
+    pts = ball_points(rng, make_params(1, r, params.epsilon), 30)
+    off = sigma(pts[:, 0], pts[:, 1], params)
+    eng = curves._engine(params)
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("sigma_inv built a sweep series")
+
+    closed = []
+    fraction = eng.sweep_fraction
+
+    def recording(A, sched, alpha):
+        closed.append(alpha.size)
+        return fraction(A, sched, alpha)
+
+    monkeypatch.setattr(eng, "build_sweep", no_series)
+    monkeypatch.setattr(discmap, "clenshaw", no_series)
+    monkeypatch.setattr(eng, "sweep_fraction", recording)
+    sigma_inv(*axes, params)
+    assert closed == []
+    sigma_inv(*off, params)
+    assert closed == [30]
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_inverse_keeps_the_side_of_a_centre_line(n, r):
+    # one ulp off Q = pi/2 or P = c, in each quadrant, the point comes back
+    # on its side of the disc axis: sign(q) = sign(Q - pi/2), sign(p) =
+    # sign(P - c)
+    params = make_params(n, r)
+    h_max = shape_schedule(0.999 * params.area_max, params)[0]
+    d = np.geomspace(3e-4, 0.9 * h_max, 60)
+    for sQ, sP in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)):
+        Q = np.full(d.size, np.nextafter(np.pi / 2.0, sQ * np.inf))
+        P = np.full(d.size, np.nextafter(params.c, sP * np.inf))
+        Q = np.concatenate([Q, np.pi / 2.0 + sQ * d])
+        P = np.concatenate([params.c + sP * d, P])
+        q, p = sigma_inv(Q, P, params)
+        assert np.all(np.sign(q) == sQ) and np.all(np.sign(p) == sP)
 
 
 def test_inverse_rejects_points_off_image(p28):
