@@ -15,16 +15,16 @@ the exponent rises so that the width can approach ``pi/2`` while the height
 stays pinned near ``A/(2*pi)``, keeping the enclosed area equal to ``A``
 without leaving the band.
 
-Everything downstream (the area-preserving disc map, its Jacobian, and the
-area oracle) consumes this module through a per-parameter engine holding the
-fitted schedule and Chebyshev quadrature nodes.  The engine writes each
-quantity once, as a jet whose ``order`` argument selects how many
-``A``-derivatives to append: ``schedule`` for ``(h, a, m)``, ``radius_jet``
-for the squared polar radius, and ``build_sweep`` for the area-sweep series,
-so the map, its inverse and its Jacobian evaluate the same formulas.  The
-inverse reads the sweep fraction in closed form instead, from
-``sweep_fraction``.  All but ``schedule`` take a row's schedule jet, so a
-map call computes it once for every step.
+Everything downstream (the area-preserving disc map, its inverse and
+Jacobian, and the area oracle) consumes this module through a per-parameter
+engine holding the fitted schedule.  The engine writes each quantity once,
+as a jet whose ``order`` argument selects how many ``A``-derivatives to
+append: ``schedule`` for ``(h, a, m)``, ``radius_jet`` for the squared polar
+radius, and ``sweep_fraction`` for the share of the area sweep up to a polar
+angle, in closed form through the incomplete beta function, so the map, its
+inverse and its Jacobian evaluate the same formulas with no quadrature.  All
+but ``schedule`` take a row's schedule jet, so a map call computes it once
+for every step.
 """
 
 from __future__ import annotations
@@ -42,27 +42,14 @@ __all__ = ["area_factor", "shape_schedule"]
 # with the band cap; also the largest exponent the schedule may request.
 _BLEND_K = 6.0
 _M_MAX = 512.0
-# Sweep-angle Newton steps: on the node bracket's Hermite cubic (to 2e-8),
-# then on the series (one leaves up to 3e-15, two reach roundoff).  A series
-# residual within `_SERIES_ROUNDOFF` of the sweep total is the series' own
-# rounding noise (about 1e-16 near the ends) and is not stepped on.
-_HERMITE_STEPS = 3
-_NEWTON_STEPS = 2
-_SERIES_ROUNDOFF = 2.0**-50
-# Grid values per row block of the sweep build and the node bracket: small
-# enough that a block's temporaries stay in cache.
-_SWEEP_ELEMS = 2**16
-# Node values per slice of the DCT-I in `cheb_coeffs` and `antideriv_nodes`:
-# the even extension and its spectrum, allocated once per sweep build or
-# angle solve, take 0.5 MiB beside a row block's grid.
-_DCT_ELEMS = 2**14
 # Floor of the log-ratio ``u`` in `radius_jet`'s derivative terms: below it
 # ``exp(m*u/2)`` is 0 for every exponent ``m >= 2``, so the floor changes no
 # value; it only keeps ``u = -inf`` (on the axis ``alpha = 0``) out of the
 # products ``0 * u``.
 _U_FLOOR = -1e3
-# Up to this many points `clenshaw` sums in Python floats: on a few points a
-# numpy call per term costs about a microsecond, a float step 0.07 per point.
+# Up to this many rows `sweep_fraction` sums its series in Python floats: on
+# a few rows a numpy call per term costs about a microsecond, a float step
+# 0.07 per row.
 _FLOAT_POINTS = 8
 # `_log_area_factor`: Gamma factors peeled off, then terms of the series in
 # 1/m; `_BERNOULLI` holds B_2 .. B_16 for `_hurwitz_zeta`.
@@ -134,7 +121,7 @@ def _log_area_factor(m, order=0):
 
     Up to `_FLOAT_POINTS` values are evaluated one at a time in Python
     floats, by the same steps in the same order as an array, so a value
-    does not depend on its batch (as in `clenshaw`).
+    does not depend on its batch (as in `sweep_fraction`).
     """
     m = np.asarray(m, dtype=float)
     if m.size > _FLOAT_POINTS:
@@ -250,211 +237,65 @@ def _height(A, eps, order=0):
     return h, lnhp, lnhpp
 
 
-def _fft_length(n):
-    """The smallest integer at or above ``n`` with no prime factor above 7.
-
-    The sweep's DCT-I is a real FFT of ``2 * ncheb`` points, and pocketfft
-    falls back to a slow generic pass for a larger prime factor (a row of
-    984 = 2**3 * 3 * 41 points takes 1.75 times as long as one of 1000).
-    """
-    while True:
-        k = n
-        for p in (2, 3, 5, 7):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return n
-        n += 1
-
-
 def _check_areas(A, area_max):
     """Raise ValueError unless every ``A`` lies in ``(0, area_max)``; NaN fails."""
     if not np.all((A > 0.0) & (A < area_max)):
         raise ValueError(f"area must lie in (0, {area_max!r})")
 
 
-# ---------------------------------------------------------------------------
-# Chebyshev helpers (Lobatto grid, first-kind series)
-# ---------------------------------------------------------------------------
-
-
-def dct_work(M, rows):
-    """Work buffers for `cheb_coeffs` and `antideriv_nodes` on ``M+1`` nodes:
-    the even extension and its spectrum, for ``rows`` rows at most and at
-    most `_DCT_ELEMS` node values."""
-    rows = max(1, min(rows, _DCT_ELEMS // (M + 1)))
-    return np.empty((rows, 2 * M)), np.empty((rows, M + 1), dtype=complex)
-
-
-def _dct1(x, div, work=None, ends=1.0, out=None):
-    """Unnormalised DCT-I along the last axis, ``scipy.fft.dct(x, type=1)``,
-    divided by ``div``.
-
-    Each slice of rows is the real FFT of its even extension ``x_0 ..
-    x_M, x_{M-1} .. x_1``, built in the `dct_work` buffers ``work`` after
-    ``x_0`` and ``x_M`` are scaled by ``ends``; pocketfft takes the same
-    path inside scipy's transform, so the bits are the same.  A slice is
-    read before its result is written, so ``out`` may be ``x``.
-    """
-    M = x.shape[-1] - 1
-    rows = x.reshape(-1, M + 1)
-    out = np.empty(rows.shape) if out is None else out.reshape(rows.shape)
-    ext, spec = work or dct_work(M, len(rows))
-    for i in range(0, len(rows), len(ext)):
-        part = rows[i : i + len(ext)]
-        e, f = ext[: len(part)], spec[: len(part)]
-        e[:, : M + 1] = part
-        e[:, M + 1 :] = part[:, M - 1 : 0 : -1]
-        if ends != 1.0:
-            e[:, 0] *= ends
-            e[:, M] *= ends
-        np.fft.rfft(e, out=f)
-        np.divide(f.real, div, out=out[i : i + len(part)])
-    return out.reshape(x.shape)
-
-
-def cheb_coeffs(F, work=None, out=None):
-    """Chebyshev coefficients from values at Lobatto nodes.
-
-    Parameters
-    ----------
-    F : ndarray, shape (..., M+1)
-        Values at ``x_j = cos(pi*j/M)``, ordered from ``x=1`` down to
-        ``x=-1``.
-    work : tuple of ndarray, optional
-        `dct_work` buffers to compute the transform in.
-    out : ndarray, optional
-        Where to write ``c``: a 2-d array of ``F``'s shape, possibly ``F``.
-
-    Returns
-    -------
-    c : ndarray, shape (..., M+1)
-        Coefficients with ``f(x) = sum_k c[k] * T_k(x)``.
-    """
-    c = _dct1(F, F.shape[-1] - 1, work, out=out)
-    c[..., 0] *= 0.5
-    c[..., -1] *= 0.5
-    return c
-
-
-def cheb_antideriv(c):
-    """Coefficients of ``x -> integral of f from -1 to x``, same basis."""
-    M = c.shape[-1] - 1
-    b = np.empty(c.shape[:-1] + (M + 2,))
-    # b_k = (c_{k-1} - c_{k+1}) / (2k) for k >= 1; c_0 enters doubled because
-    # the series convention above stores it halved.
-    np.subtract(c[..., 1 : M - 1], c[..., 3:], out=b[..., 2:M])
-    b[..., 1] = (c[..., 0] + c[..., 0]) - c[..., 2]
-    b[..., M:] = c[..., M - 1 :]
-    b[..., 1:] /= 2.0 * np.arange(1, M + 2)
-    # the constant that makes the series vanish at x = -1, where T_k = (-1)**k
-    b[..., 0] = np.sum(b[..., 1::2], axis=-1) - np.sum(b[..., 2::2], axis=-1)
-    return b
-
-
-@functools.lru_cache(maxsize=16)
-def _last_term_nodes(M):
-    """``T_{M+1}(x_j) = (-1)**j * x_j`` at the Lobatto nodes, read-only."""
-    j = np.arange(M + 1)
-    t = (-1.0) ** j * np.cos(np.pi * j / M)
-    t.flags.writeable = False
-    return t
-
-
-def antideriv_nodes(b, work=None):
-    """Values of a `cheb_antideriv` series at its integrand's Lobatto nodes.
-
-    ``b`` has ``M+2`` coefficients and the nodes are ``x_j = cos(pi*j/M)``,
-    ``j = 0..M``.  The first ``M+1`` terms take one DCT-I (the inverse of
-    `cheb_coeffs`, in the `dct_work` buffers ``work`` if given, as there);
-    the last adds in closed form, ``T_{M+1}(x_j) = (-1)**j * x_j``.
-    """
-    M = b.shape[-1] - 2
-    F = _dct1(b[..., : M + 1], 2.0, work, ends=2.0)
-    F += b[..., M + 1 :] * _last_term_nodes(M)
-    return F
-
-
-def _node_bracket(b, total, tau4, work=None):
-    """Bracket each row's target ``tau4 * total`` between adjacent nodes.
-
-    ``b`` holds `cheb_antideriv` series of the sweep and ``total`` their
-    values at ``s = 1``.  The sweep's values on the Lobatto nodes
-    (`antideriv_nodes`) increase with ``s`` (``V_A > 0`` and the warp is
-    increasing), so counting the nodes below a target brackets its root.
-    Returns ``(j, f_lo, f_hi)``: the first node index below the target
-    (nodes run from ``s = 1`` down) and the sweep's values at nodes ``j``
-    and ``j - 1``.
-    """
-    M = b.shape[-1] - 2
-    F = antideriv_nodes(b, work)  # descending in j, like the nodes
-    # the end values are exact, and a target within the series' rounding of
-    # an end is then bracketed by the end's node
-    F[:, 0], F[:, -1] = total, 0.0
-    below = np.sum(F < (tau4 * total)[:, None], axis=-1)
-    j = M + 1 - np.clip(below, 1, M)
-    f_lo = np.take_along_axis(F, j[:, None], axis=-1)[:, 0]
-    f_hi = np.take_along_axis(F, j[:, None] - 1, axis=-1)[:, 0]
-    return j, f_lo, f_hi
-
-
-def clenshaw(c, x):
-    """Evaluate ``sum_k c[...,k] * T_k(x)`` with Clenshaw recurrence.
-
-    Up to `_FLOAT_POINTS` points are summed one at a time in Python floats,
-    whose operations round as numpy's do: the same steps in the same order
-    give the same bits, so a point's value does not depend on its batch.
-    """
-    x = np.asarray(x)
-    shape = np.broadcast_shapes(c.shape[:-1], x.shape)
-    if c.dtype == x.dtype == np.float64 and np.prod(shape) <= _FLOAT_POINTS:
-        rows = np.broadcast_to(c, shape + c.shape[-1:]).reshape(-1, c.shape[-1])
-        xs = np.broadcast_to(x, shape).ravel().tolist()
-        vals = [_clenshaw_float(ck, xk) for ck, xk in zip(rows.tolist(), xs)]
-        return np.array(vals).reshape(shape)
-    x2 = 2.0 * x
-    # three buffers in turn: the new term and the two before it
-    b0, b1, b2 = np.empty(shape), np.zeros(shape), np.zeros(shape)
-    for k in range(c.shape[-1] - 1, 0, -1):
-        np.multiply(x2, b1, out=b0)
-        b0 += c[..., k]
-        b0 -= b2
-        b0, b1, b2 = b2, b0, b1
-    return c[..., 0] + x * b1 - b2
-
-
-def _clenshaw_float(c, x):
-    """`clenshaw` of one coefficient list at one float ``x``."""
-    x2 = 2.0 * x
-    b1 = b2 = 0.0
-    for ck in reversed(c[1:]):
-        b1, b2 = ck + x2 * b1 - b2, b1
-    return c[0] + x * b1 - b2
-
-
-def _sweep_tail(ez, p, G, lam, E, X, Y, c):
-    """``G * W``, the last steps of `sweep_fraction`, on floats or arrays.
+def _sweep_tail(ez, p, G, lam, E, X, Y, c, *second):
+    """``(G W,)``, the last steps of `sweep_fraction`, on floats or arrays.
 
     With ``z = ez/(1 + ez)``, sums ``T = sum_{k>=1} (2p)_k/(p+1)_k z**k``
     over `_BETA_TERMS` terms and its p-derivative ``T_p``, in which a
-    term's log-derivative is the running sum of ``2/(2p+j) - 1/(p+1+j) =
-    (j+2)/((2p+j)(p+1+j))``.  The augmented assignments update arrays in
-    place and rebind floats, so both take the same steps (as in
-    `_log_area_factor_jet`).
+    term's log-derivative ``D_k`` is the running sum of ``2/(2p+j) -
+    1/(p+1+j) = (j+2)/((2p+j)(p+1+j))``.  Given four more arguments
+    ``(X2, Y2, c2, m)``, the parts of ``A d/dA`` of ``(X, Y, c)`` past
+    ``(X, Y, c)`` themselves, it appends ``A d(G W)/dA`` at fixed angle.
+    That takes ``z T_z = sum k s_k``, ``z T_pz = sum k s_k D_k`` and
+    ``T_pp = sum s_k (D_k**2 + D_k')`` from the same loop, and the
+    derivatives of ``lam``, ``E`` and ``z`` from ``A lam_A = m (c lam + (Y
+    - X)/2)``.  The augmented assignments update arrays in place and rebind
+    floats, so both take the same steps (as in `_log_area_factor_jet`).
     """
     z = ez / (1.0 + ez)
     tp, p1 = 2.0 * p, p + 1.0
     s, T, D, Tp = 1.0 + 0.0 * z, 0.0 * z, 0.0 * z, 0.0 * z
+    if second:
+        D1, Tk, Tpz, Tpp = 0.0 * z, 0.0 * z, 0.0 * z, 0.0 * z
     for j in range(_BETA_TERMS):
         u, v = tp + j, p1 + j
         s *= u
         s /= v
         s *= z
         T += s
-        D += (j + 2.0) / (u * v)
+        uv = u * v
+        D += (j + 2.0) / uv
         Tp += s * D
+        if second:
+            # d/dp of (j+2)/(u v), with u' = 2 and v' = 1
+            D1 -= (j + 2.0) * (2.0 * v + u) / (uv * uv)
+            ks = (j + 1.0) * s
+            Tk += ks
+            Tpz += ks * D
+            Tpp += s * (D * D + D1)
     W = X * (2.0 + T) + (Y + 2.0 * c * lam) * T + c * (2.0 * E * (1.0 + T) - Tp)
-    return G * W
+    if not second:
+        return (G * W,)
+    # A d/dA of lam, E, z (over z), T and T_p; A p_A = -c
+    X2, Y2, c2, m = second
+    dlam = m * (c * lam + 0.5 * (Y - X))
+    dE = -2.0 * z * dlam
+    dz = -2.0 * (1.0 - z) * dlam
+    dT = dz * Tk - c * Tp
+    dTp = dz * Tpz - c * Tpp
+    # A d(log G)/dA + 1, which is A V_A / V at this angle
+    N = 2.0 * ((1.0 - z) * X + z * Y + c * (E + 2.0 * z * lam))
+    # A dW/dA - W
+    dW = (X2 * (2.0 + T) + (Y2 + 2.0 * (c2 * lam + c * dlam)) * T
+          + 2.0 * (c2 * E + c * dE) * (1.0 + T) - c2 * Tp
+          + (X + Y + 2.0 * c * (lam + E)) * dT - c * dTp)
+    return G * W, G * (W * N + dW)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +304,12 @@ def _sweep_tail(ez, p, G, lam, E, X, Y, c):
 
 
 class _CurveEngine:
-    """Fitted schedule plus quadrature data for one parameter set.
+    """Fitted schedule for one parameter set, and the jets built on it.
 
-    Holds everything that depends only on ``(n, r, epsilon)``: the endpoint
-    exponent fit, the Chebyshev node count, and the node abscissae.  All
-    methods are vectorized over arrays of areas.  A higher ``order`` only
-    appends derivative terms, so leading outputs agree bitwise across orders.
+    Holds everything that depends only on ``(n, r, epsilon)``: the corner
+    margin and the endpoint exponent fit.  All methods are vectorized over
+    arrays of areas.  A higher ``order`` only appends derivative terms, so
+    leading outputs agree bitwise across orders.
     """
 
     def __init__(self, params: PackingParams):
@@ -501,9 +342,6 @@ class _CurveEngine:
             self.m_end = _fit_exponent(g_end)
         lam_end = self.area_max / (self.area_max + np.pi * self.eps)
         self.m_scale = 2.0 + (self.m_end - 2.0) / _smoothstep(lam_end)[0]
-        self.ncheb = _fft_length(int(max(192, 2.5 * self.m_end + 48)))
-        j = np.arange(self.ncheb + 1)
-        self.xnodes = np.cos(np.pi * j / self.ncheb)  # 1 .. -1
         self._validate()
 
     def _validate(self):
@@ -671,10 +509,10 @@ class _CurveEngine:
             jet += (w1,)
         return jet if len(jet) > 1 else V
 
-    # -- warped quadrature contour -------------------------------------------
+    # -- vertex clustering for the area oracle --------------------------------
 
     def warp_params(self, sched):
-        """Parameters of the sinh map packing nodes near the curve corner.
+        """Parameters of the sinh map packing vertices near the curve corner.
 
         ``sched`` is the rows' `schedule` jet; only ``(h, a, m)`` are read.
         """
@@ -689,7 +527,7 @@ class _CurveEngine:
 
     @staticmethod
     def warp(s, wp):
-        """Contour angle ``alpha(s)``, clipped to the quadrant, and ``alpha'(s)``.
+        """Warped angle ``alpha(s)``, clipped to the quadrant, and ``alpha'(s)``.
 
         Both share ``beta * (s - s_c)``, and ``alpha'`` is formed in its buffer.
         """
@@ -706,18 +544,20 @@ class _CurveEngine:
 
     # -- area sweep ----------------------------------------------------------
 
-    def sweep_fraction(self, A, sched, alpha):
+    def sweep_fraction(self, A, sched, alpha, order=0):
         """Quarter sweep fraction ``tau(A, alpha)`` of each row, in closed form.
 
         ``sched`` is the rows' `schedule` jet at areas ``A``, to at least
-        first order, and ``alpha`` in ``(0, pi/2]`` their quarter angles.
-        ``tau`` is the share of the quarter sweep ``integral_0^alpha V_A``
-        (whose total is 1/2) that `build_sweep`'s series gives by
-        quadrature.  In the form ``x = a cos(psi)**(2/m)``, ``y = h
-        sin(psi)**(2/m)`` the sector up to ``alpha`` has area ``A/4 *
-        I_z(p, p)``, the regularized incomplete beta function at ``p = 1/m``,
-        ``z = sin(psi)**2`` and ``tan(psi) = ((a/h) tan(alpha))**(m/2)``, so
-        ``tau = d/dA [A I] = I + A (I_z z_A + I_p p_A)``.
+        ``order + 1``, and ``alpha`` in ``(0, pi/2]`` their quarter angles.
+        Returns ``(tau, 1 - tau)``, each formed without cancellation;
+        ``order=1`` appends ``tau_A``, the A-derivative at fixed angle.
+        ``tau`` is the share of the quarter sweep ``integral_0^alpha V_A``,
+        whose total is 1/2, so ``tau_alpha = 2 V_A``.  In the form ``x = a
+        cos(psi)**(2/m)``, ``y = h sin(psi)**(2/m)`` the sector up to
+        ``alpha`` has area ``A/4 * I_z(p, p)``, the regularized incomplete
+        beta function at ``p = 1/m``, ``z = sin(psi)**2`` and ``tan(psi) =
+        ((a/h) tan(alpha))**(m/2)``, so ``tau = d/dA [A I] = I + A (I_z z_A
+        + I_p p_A)``.
 
         With ``lam = |log tan(psi)|`` and ``ez = exp(-2 lam)``, the smaller
         of ``z`` and ``1 - z`` is ``ez/(1 + ez)``, and ``E = log1p(ez)`` is
@@ -738,6 +578,13 @@ class _CurveEngine:
         its relative accuracy as ``alpha -> 0``, where the terms of the
         literal form cancel.
 
+        ``tau_A`` differentiates ``G W`` through the second-order jet (the
+        derivatives of the incomplete beta function as in Boik and
+        Robison-Cox, J. Stat. Softw. 3(1), 1998): ``A d(log G)/dA + 1`` is
+        ``A V_A/V``, and ``X``, ``Y`` and ``c`` enter through the parts of
+        ``A d/dA`` past themselves, such as ``A**2 a_AA/a - kappa**2`` for
+        ``kappa``, which carry no ``O(kappa)`` cancellation.
+
         Up to `_FLOAT_POINTS` rows take `_sweep_tail` in Python floats, by
         the same steps as an array, so a value does not depend on its batch.
         """
@@ -754,127 +601,31 @@ class _CurveEngine:
         ez = np.exp(-2.0 * lam)  # the smaller of z and 1 - z over the larger
         E = np.log1p(ez)
         G = np.exp(-2.0 * p * E)
-        G *= np.where(upper, 1.0 / t, t)
+        G *= np.divide(1.0, t, out=t, where=upper)  # min(t, 1/t)
         G *= 2.0 * a * h / A
         kappa, eta = A * ap / a, A * hp / h
         X, Y = np.where(upper, eta, kappa), np.where(upper, kappa, eta)
-        args = (ez, p, G, lam, E, X, Y, A * mp * p * p)
+        c = A * mp * p * p
+        args = (ez, p, G, lam, E, X, Y, c)
+        if order:
+            hpp, app, mpp = sched[6:9]
+            A2 = A * A
+            kappa2 = A2 * app / a - kappa * kappa
+            eta2 = A2 * hpp / h - eta * eta
+            c2 = A2 * mpp * p * p - 2.0 * m * c * c
+            X2, Y2 = np.where(upper, eta2, kappa2), np.where(upper, kappa2, eta2)
+            args += (X2, Y2, c2, m)
         if ez.size > _FLOAT_POINTS:
-            GW = _sweep_tail(*args)
+            jet = _sweep_tail(*args)
         else:
             rows = zip(*(x.ravel().tolist() for x in args))
-            GW = np.array([_sweep_tail(*row) for row in rows]).reshape(ez.shape)
-        return np.where(upper, 1.0 - GW, GW)
-
-    def row_blocks(self, N):
-        """Fixed slices of ``N`` rows, each about `_SWEEP_ELEMS` node values."""
-        rows = max(1, _SWEEP_ELEMS // (self.ncheb + 1))
-        return [slice(i, i + rows) for i in range(0, N, rows)]
-
-    def build_sweep(self, sched, order=0, tau4=None):
-        """Antiderivative of the angular area-sweep density for each row.
-
-        ``sched`` is the rows' `schedule` jet, to at least ``order + 1``.
-        Returns ``(b, total, wp)``: Chebyshev coefficients of ``s ->
-        integral_0^alpha(s) dV/dA``, its value at ``alpha = pi/2``, and the
-        warp parameters.  Since the enclosed area equals twice the integral
-        of ``V`` over a quarter period, ``total`` is exactly 1/2; the
-        computed value is kept as the normalizer so that quadrature error
-        cancels from the sweep fraction.  ``order=1`` appends ``(bA,
-        totalA)``, the same integral of ``d2V/dA2`` over the same warped
-        contour (needed by the closed-form Jacobian).  Given sweep fractions
-        ``tau4``, it appends `solve_angle`'s node bracket of each row's
-        target ``tau4 * total`` (see `_node_bracket`).
-
-        The node grid is evaluated in `row_blocks`, so beyond the returned
-        ``(N, ncheb+2)`` coefficients the temporaries are O(`_SWEEP_ELEMS`).
-        A block's coefficients are bracketed while they are row-major and in
-        cache, before they are copied into the column-major result.
-        """
-        wp = self.warp_params(sched)
-        N = wp[0].size
-        s = self.xnodes[None, :]
-        # column-major, so `clenshaw` reads contiguous columns without a copy
-        out = [np.empty((N, self.ncheb + 2), order="F") for _ in range(order + 1)]
-        totals = [np.empty(N) for _ in range(order + 1)]
-        if tau4 is not None:
-            bracket = (np.empty(N, dtype=np.intp), np.empty(N), np.empty(N))
-        work = dct_work(self.ncheb, N)
-        for sl in self.row_blocks(N):
-            rows = tuple(x[sl, None] for x in sched)
-            wp_col = tuple(x[sl, None] for x in wp)
-            density = self.sweep_density(rows, s, wp_col, order)
-            for k, g in enumerate(density):
-                # the density grid is not needed again: its coefficients
-                # are written over it
-                c = cheb_antideriv(cheb_coeffs(g, work, g))
-                # the series at alpha = pi/2, i.e. s = 1, where every T_k is 1
-                totals[k][sl] = c.sum(-1)
-                if k == 0 and tau4 is not None:
-                    found = _node_bracket(c, totals[0][sl], tau4[sl], work)
-                    for x, y in zip(bracket, found):
-                        x[sl] = y
-                out[k][sl] = c
-            del density, g, c  # freed before the next block's grid is built
-        extra = (bracket,) if tau4 is not None else ()
-        return (out[0], totals[0], wp, *out[1:], *totals[1:], *extra)
-
-    def sweep_density(self, sched, s, wp, order=0):
-        """``(V_A * alpha'(s),)``: the s-derivative of the `build_sweep` series
-        at abscissae ``s``; ``order=1`` appends the same with ``V_AA``."""
-        alpha, dal = self.warp(s, wp)
-        jet = self.radius_jet(sched, alpha, order + 1)[1:]
-        for v in jet:
-            v *= dal
-        return jet
-
-    def solve_angle(self, sched, b, total, wp, tau4, bracket):
-        """Invert the quarter sweep: find alpha with Phi(alpha)/total = tau4.
-
-        ``sched`` is the rows' `schedule` jet, to at least first order, and
-        ``bracket`` the node bracket `build_sweep` returns for ``tau4``.
-        Newton steps on the cubic Hermite through the bracket's node values
-        and `sweep_density` give the start; a fixed number of safeguarded
-        Newton steps on the series (a `clenshaw` value, `sweep_density`
-        slope) finish, so a point's result does not depend on its batch.  An
-        iterate whose residual is within the series' rounding is latched, so
-        neither a stale bracket nor rounding noise displaces it; near the
-        ends, where the target may be below that noise, the start from the
-        exact end value is what resolves the angle.
-        """
-        target = tau4 * total
-        j, f_lo, f_hi = bracket
-        lo, hi = self.xnodes[j], self.xnodes[j - 1]
-        # the cubic Hermite through the node values and slopes, less f_lo,
-        # in t = (s - lo) / ds:  t * (g0 + t * (c2 + t * c3))
-        ds, df, rhs = hi - lo, f_hi - f_lo, target - f_lo
-        ends = np.stack([lo, hi], -1)
-        cols = [tuple(x[:, None] for x in v) for v in (sched, wp)]
-        g0, g1 = (ds[:, None] * self.sweep_density(cols[0], ends, cols[1])[0]).T
-        c2, c3 = 3.0 * df - 2.0 * g0 - g1, g0 + g1 - 2.0 * df
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(df > 0.0, np.clip(rhs / df, 0.0, 1.0), 0.5)  # secant
-            for _ in range(_HERMITE_STEPS):
-                res = t * (g0 + t * (c2 + t * c3)) - rhs
-                t_new = t - res / (g0 + t * (2.0 * c2 + t * (3.0 * c3)))
-                t = np.where(np.isfinite(t_new), np.clip(t_new, 0.0, 1.0), t)
-        s = lo + t * ds
-        noise = _SERIES_ROUNDOFF * total
-        for _ in range(_NEWTON_STEPS):
-            val = clenshaw(b, s) - target
-            lo, hi = np.where(val < 0.0, s, lo), np.where(val > 0.0, s, hi)
-            der = self.sweep_density(sched, s, wp)[0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s_new = s - val / der
-            ok = np.isfinite(s_new) & (der > 0.0)
-            # clamp overshoots onto the bracket: a root within an ulp of an
-            # endpoint must be landed on, not bisected toward forever
-            s_new = np.where(ok, np.clip(s_new, lo, hi), 0.5 * (lo + hi))
-            s = np.where(np.abs(val) <= noise, s, s_new)
-        alpha = self.warp(s, wp)[0]
-        alpha = np.where(tau4 <= 0.0, 0.0, np.where(tau4 >= 1.0, np.pi / 2.0, alpha))
-        s = np.where(tau4 <= 0.0, -1.0, np.where(tau4 >= 1.0, 1.0, s))
-        return alpha, s
+            vals = zip(*(_sweep_tail(*row) for row in rows))
+            jet = tuple(np.array(v).reshape(ez.shape) for v in vals)
+        GW = jet[0]
+        out = (np.where(upper, 1.0 - GW, GW), np.where(upper, GW, 1.0 - GW))
+        if order:
+            out += (np.where(upper, -jet[1], jet[1]) / A,)
+        return out
 
 
 @functools.lru_cache(maxsize=16)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import _check_areas, _engine, clenshaw
+from .curves import _check_areas, _engine
 from .errors import NotInImage, QuadratureNonConvergent
 from .params import PackingParams
 
@@ -43,6 +43,10 @@ _AREA_GRID = 32
 _AREA_FLOOR = 1e-18
 _AREA_STEPS = 24
 _LOG_AREA_TOL = 1e-10
+# Angle solve of `sigma` (see `_solve_angle`): Newton step cap, and the step
+# in log tan(alpha) that ends a row.
+_ANGLE_STEPS = 24
+_LOG_TAN_TOL = 1e-9
 # Quadrants counterclockwise from q, p > 0: the angle fraction t0 where each
 # meets the midline and its coordinate signs (sq, sp); in one, the sweep
 # fraction is tau4 = 4 s4 (t - t0) with s4 = sq*sp, so t = t0 + s4 tau4/4.
@@ -148,21 +152,16 @@ def _curve_eval(eng, A, fold, order=0):
 def _curve_block(eng, A, tau4, sq, sp, order):
     """`_curve_eval` on one block of points.
 
-    At ``order=0`` symmetry fixes the angle on the axes (``alpha = 0`` at
-    ``tau4 == 0``, ``pi/2`` at ``tau4 == 1``, as `solve_angle` would
-    return), so only the rows off them build a sweep and solve for it.
+    Symmetry fixes the angle on the axes (``alpha = 0`` at ``tau4 == 0``,
+    ``pi/2`` at ``tau4 == 1``), so only the rows off them solve for it
+    (`_solve_angle`) and, for the Jacobian, read ``tau_A``.
     """
     sched = eng.schedule(A, order + 1)  # shared by every step below
-    if order == 0:
-        alpha = np.where(tau4 <= 0.0, 0.0, np.pi / 2.0)
-        off = np.flatnonzero((tau4 > 0.0) & (tau4 < 1.0))
-        if off.size:
-            rows, t = tuple(x[off] for x in sched), tau4[off]
-            b, total, wp, bracket = eng.build_sweep(rows, 0, t)
-            alpha[off] = eng.solve_angle(rows, b, total, wp, t, bracket)[0]
-    else:
-        b, total, wp, *sweep_A, bracket = eng.build_sweep(sched, order, tau4)
-        alpha, s = eng.solve_angle(sched, b, total, wp, tau4, bracket)
+    alpha = np.where(tau4 <= 0.0, 0.0, np.pi / 2.0)
+    off = np.flatnonzero((tau4 > 0.0) & (tau4 < 1.0))
+    sched_off = tuple(x[off] for x in sched)
+    if off.size:
+        alpha[off] = _solve_angle(eng, A[off], sched_off[:6], tau4[off])
     jet = eng.radius_jet(sched, alpha, order, angle=order > 0)
     R = np.sqrt(jet[0] if order else jet)
     ca, sa = np.cos(alpha), np.sin(alpha)
@@ -170,16 +169,83 @@ def _curve_block(eng, A, tau4, sq, sp, order):
     P = eng.c + sp * R * sa
     if order == 0:
         return Q, P
-    # implicit differentiation of  Phi(A, alpha) = tau4 * total(A)
-    bA, totalA = sweep_A
+    # implicit differentiation of  tau(A, alpha) = tau4, where tau_alpha =
+    # 2 V_A; on the axes tau is 0 or 1 at every area, so alpha_A = 0 there
     V_A, V_al = jet[1:]
-    al_A = (tau4 * totalA - clenshaw(bA, s)) / V_A
-    al_t = total / V_A
+    al_t = 0.5 / V_A
+    al_A = np.zeros_like(al_t)
+    if off.size:
+        tau_A = eng.sweep_fraction(A[off], sched_off, alpha[off], 1)[2]
+        al_A[off] = -tau_A * al_t[off]
     Q_A = sq * (ca * (V_A + V_al * al_A) / (2.0 * R) - R * sa * al_A)
     Q_t = sq * al_t * (ca * V_al / (2.0 * R) - R * sa)
     P_A = sp * (sa * (V_A + V_al * al_A) / (2.0 * R) + R * ca * al_A)
     P_t = sp * al_t * (sa * V_al / (2.0 * R) + R * ca)
     return Q, P, Q_A, Q_t, P_A, P_t
+
+
+def _solve_angle(eng, A, sched, tau4):
+    """Quarter angle ``alpha`` at which each row's sweep fraction is ``tau4``.
+
+    The rows lie off the axes, ``0 < tau4 < 1``, and ``sched`` is their
+    `schedule` jet to first order.  Newton steps in ``ell = log tan(alpha)``
+    on the log-odds residual ``g = log(tau/tau4) - log((1 - tau)/(1 -
+    tau4))``, with both ``tau`` and ``1 - tau`` from `sweep_fraction` and
+    each log taken of a ratio near 1, so the residual keeps its relative
+    accuracy at both ends (``log(tau) - log(tau4)`` would carry the
+    rounding of two logs of size 690 at ``tau4 = 1e-300``); its slope is
+    ``2 V_A sin(alpha) cos(alpha) / (tau (1 - tau))``, since ``tau_alpha =
+    2 V_A``.  On either side of the curve's corner ``tan(alpha) = h/a`` the
+    log-odds is close to linear in ``ell``, and it tends to ``ell`` plus a
+    constant at both ends, where ``tau = 2 V_A(A, 0) tan(alpha)`` and ``1 -
+    tau = 2 V_A(A, pi/2) cot(alpha)`` to first order.  The start is the one
+    of those two asymptotes that lies on its own side of the corner, else
+    the corner itself.
+
+    Each row keeps a bracket in ``alpha``, from the smallest positive float
+    to ``pi/2``, and a step that leaves it bisects it.  A row freezes once a
+    step accepted inside its bracket is at most `_LOG_TAN_TOL`, or its next
+    angle is an end of its bracket (the angle is then resolved to the float
+    spacing), or it hits ``g == 0``, so its iterates depend on that row
+    alone and the result does not depend on the batch.
+    """
+    h, a, _, h_A, a_A, _ = sched
+    rest4 = 1.0 - tau4  # exact for tau4 >= 1/2
+    ell_lo = np.log(tau4) - np.log(4.0 * a * a_A)  # 2 V_A(A, 0) = 4 a a_A
+    ell_hi = np.log(4.0 * h * h_A) - np.log(rest4)
+    ell_c = np.log(h / a)
+    ell = np.where(ell_lo <= ell_c, ell_lo, np.where(ell_hi >= ell_c, ell_hi, ell_c))
+    lo = np.full(ell.size, np.nextafter(0.0, 1.0))
+    hi = np.full(ell.size, np.pi / 2.0)
+    alpha = np.maximum(np.arctan(np.exp(ell)), lo)  # exp may underflow to 0
+    rows = np.arange(alpha.size)
+    for _ in range(_ANGLE_STEPS):
+        if rows.size == 0:
+            break
+        al = alpha[rows]
+        rs = tuple(x[rows] for x in sched)
+        tau, rest = eng.sweep_fraction(A[rows], rs, al)
+        V_A = eng.radius_jet(rs, al, 1)[1]
+        t = np.tan(al)
+        with np.errstate(all="ignore"):
+            g = np.log(tau / tau4[rows]) - np.log(rest / rest4[rows])
+            step = g * tau * rest * (t + 1.0 / t) / (2.0 * V_A)
+            # the new angle is arctan(t exp(-step)), formed as an increment
+            # so that a small step is not lost to the rounding of
+            # arctan(tan(al)); a step past +-600 leaves any bracket anyway
+            e = -np.clip(step, -600.0, 600.0)
+            al_new = al + np.arctan(np.expm1(e) / (1.0 / t + t * np.exp(e)))
+        lo_r = np.where(g < 0.0, al, lo[rows])
+        hi_r = np.where(g > 0.0, al, hi[rows])
+        # inclusive, as in `_solve_area`; NaN fails and bisects
+        ok = (al_new >= lo_r) & (al_new <= hi_r)
+        al_new = np.where(g == 0.0, al, np.where(ok, al_new, 0.5 * (lo_r + hi_r)))
+        alpha[rows] = al_new
+        lo[rows], hi[rows] = lo_r, hi_r
+        done = ((g == 0.0) | (al_new == lo_r) | (al_new == hi_r)
+                | (ok & (np.abs(step) <= _LOG_TAN_TOL)))
+        rows = rows[~done]
+    return alpha
 
 
 def _check_in_ball(u, r, what="q**2 + p**2"):
@@ -231,9 +297,11 @@ def sigma(q, p, params: PackingParams):
     Notes
     -----
     The center maps to the curve family's center ``(pi/2, c)``.  Points on
-    the diameter ``p = 0`` return ``P == c`` exactly.  Points are mapped in
-    fixed blocks of `_BLOCK`, so beyond the O(N) inputs and outputs peak
-    memory is O(`_BLOCK` * ncheb) whatever the batch size.
+    the diameter ``p = 0`` return ``P == c`` exactly.  Off the axes the
+    angle on the level curve is solved in closed form (`_solve_angle`, a
+    few Newton steps on `_CurveEngine.sweep_fraction`).  Points are mapped
+    in fixed blocks of `_BLOCK`, so beyond the O(N) inputs and outputs peak
+    memory is O(`_BLOCK`) whatever the batch size.
     """
     _, _, shape, fold, interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
@@ -339,7 +407,7 @@ def sigma_inv(Q, P, params: PackingParams):
     On the centre lines ``P = c`` and ``Q = pi/2`` symmetry fixes that
     fraction, and the point comes back exactly on the matching disc axis.
     That fraction is read in closed form (`_CurveEngine.sweep_fraction`),
-    with no series.  Like `sigma`, it works on fixed blocks of `_BLOCK`
+    with no solve.  Like `sigma`, it works on fixed blocks of `_BLOCK`
     points, so its peak memory is O(`_BLOCK` * `_AREA_GRID`) beyond the
     inputs and outputs.
 
@@ -380,7 +448,7 @@ def _inverse_block(eng, Q, P, grid):
     off = np.flatnonzero((up != 0.0) & (xi != 0.0))
     if off.size:
         A_off = A[off]
-        tau = eng.sweep_fraction(A_off, eng.schedule(A_off, 1), alpha_q[off])
+        tau = eng.sweep_fraction(A_off, eng.schedule(A_off, 1), alpha_q[off])[0]
         phi_q[off] = np.clip(0.25 * tau, 0.0, 0.25)
     # unfold it into the quadrant of (xi, up): on [0, 1/4] the cosine and
     # sine of 2 pi phi_q are >= 0, so the signs are the quadrant's, and a
@@ -407,12 +475,14 @@ def sigma_jacobian(q, p, params: PackingParams):
 
     Notes
     -----
-    The image and the derivatives share one sweep build, angle solve and
-    radius jet.  The derivatives are exact: those of the schedule and the
-    level-curve radius, and that of the solved sweep angle, obtained by
-    differentiating the sweep equation implicitly.  With no finite
-    differences, the determinant is 1 up to quadrature roundoff even where
-    the curve shape changes on a scale far below any sensible step.
+    The image and the derivatives share one angle solve and radius jet.
+    The derivatives are exact: those of the schedule and the level-curve
+    radius, and that of the solved sweep angle, obtained by differentiating
+    ``tau(A, alpha) = tau4`` implicitly, with ``tau_alpha = 2 V_A`` and the
+    closed-form ``tau_A`` of `_CurveEngine.sweep_fraction`.  With no
+    finite differences and no quadrature, the determinant is 1 up to
+    roundoff even where the curve shape changes on a scale far below any
+    sensible step.
     """
     qf, pf, shape, fold, interior, A_safe = _polar(q, p, params)
     eng = _engine(params)
@@ -433,9 +503,9 @@ def _quarter_arc(eng, A, nvert):
     """First-quadrant arc of the level curve at ``A``, for ``nvert`` vertices.
 
     ``nvert`` must be a multiple of 4; the ``nvert/4 + 1`` arc vertices
-    follow the sinh warp used by the quadrature, which concentrates them
-    where the curve bends fastest.  The warped abscissae are dyadic, so
-    every second vertex is, bit for bit, the arc for ``nvert/2``.
+    follow the engine's sinh warp, which concentrates them where the curve
+    bends fastest.  The warped abscissae are dyadic, so every second vertex
+    is, bit for bit, the arc for ``nvert/2``.
     """
     sched = eng.schedule(np.asarray([A]))
     al = eng.warp(np.linspace(-1.0, 1.0, nvert // 4 + 1), eng.warp_params(sched))[0]
@@ -461,10 +531,10 @@ def enclosed_area(A, params: PackingParams) -> float:
     extrapolated over a doubling ladder of 2048, 4096 and 8192 vertices.
     The curve is evaluated once, on the finest ladder's `_quarter_arc`, and
     the coarser ladders take every fourth and every second of its vertices,
-    which are theirs bit for bit.  This shares no code path with the sweep
-    quadrature inside `sigma`, which is what makes it useful as an oracle:
-    agreement with ``A`` certifies the curve family itself, independent of
-    the map built on top of it.
+    which are theirs bit for bit.  This shares no code path with the
+    closed-form sweep fraction inside `sigma`, which is what makes it
+    useful as an oracle: agreement with ``A`` certifies the curve family
+    itself, independent of the map built on top of it.
 
     Raises
     ------

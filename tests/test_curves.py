@@ -1,8 +1,7 @@
-"""Level-curve schedule, superellipse area factor, and Chebyshev helpers."""
+"""Level-curve schedule, superellipse area factor, sweep fraction and angle solve."""
 
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,18 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relpack import ScheduleInfeasible, make_params, shape_schedule
-from relpack import curves
-from relpack.curves import (
-    _engine,
-    _fit_exponent,
-    _log_area_factor,
-    antideriv_nodes,
-    area_factor,
-    cheb_antideriv,
-    cheb_coeffs,
-    clenshaw,
-    dct_work,
-)
+from relpack import curves, discmap
+from relpack.curves import _engine, _fit_exponent, _log_area_factor, area_factor
 
 _ULP = np.finfo(float).eps
 
@@ -117,124 +106,6 @@ def test_area_factor_matches_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev helpers
-
-
-def _nodes(M):
-    return np.cos(np.pi * np.arange(M + 1) / M)
-
-
-def test_clenshaw_reproduces_exp():
-    xn = _nodes(40)
-    c = cheb_coeffs(np.exp(xn))
-    xs = np.linspace(-1.0, 1.0, 257)
-    assert np.max(np.abs(clenshaw(c, xs) - np.exp(xs))) < 1e-14
-    # bitwise the plain recurrence b_k = c_k + 2x*b_{k+1} - b_{k+2}
-    b1 = b2 = np.zeros_like(xs)
-    for k in range(c.size - 1, 0, -1):
-        b1, b2 = c[k] + 2.0 * xs * b1 - b2, b1
-    assert np.array_equal(clenshaw(c, xs), c[0] + xs * b1 - b2)
-
-
-def test_clenshaw_few_points_match_the_batch():
-    # a few points are summed in Python floats: bitwise what the batch gives
-    rng = np.random.default_rng(7)
-    c = np.asfortranarray(rng.standard_normal((20, 300)) * 0.97 ** np.arange(300))
-    xs = np.concatenate([[-1.0, 1.0, 0.0, -0.0], rng.uniform(-1.0, 1.0, 16)])
-    full = clenshaw(c, xs)
-    for k in range(1, 9):
-        assert np.array_equal(clenshaw(c[-k:], xs[-k:]), full[-k:])
-        assert np.array_equal(clenshaw(c[k], xs[k]), full[k])
-    assert np.array_equal(clenshaw(c[0], xs[:5]), clenshaw(c[0], xs)[:5])
-    grid = xs[:6].reshape(2, 3)
-    assert np.array_equal(clenshaw(c[0], grid), clenshaw(c[0], xs)[:6].reshape(2, 3))
-
-
-def test_antiderivative_of_exp():
-    xn = _nodes(40)
-    c = cheb_coeffs(np.exp(xn))
-    b = cheb_antideriv(c)
-    xs = np.linspace(-1.0, 1.0, 257)
-    # convention: the antiderivative vanishes at x = -1
-    assert abs(clenshaw(b, np.asarray(-1.0))) < 1e-15
-    exact = np.exp(xs) - np.exp(-1.0)
-    assert np.max(np.abs(clenshaw(b, xs) - exact)) < 1e-14
-    # on the integrand's own nodes, through one DCT-I
-    assert np.max(np.abs(antideriv_nodes(b) - (np.exp(xn) - np.exp(-1.0)))) < 1e-14
-
-
-def _dct1_cosine_sum(x):
-    """DCT-I by its definition, ``y_k = x_0 + (-1)**k x_M + 2 sum_{0<j<M}
-    x_j cos(pi j k / M)``."""
-    M = x.shape[-1] - 1
-    j = np.arange(M + 1)
-    w = np.full(M + 1, 2.0)
-    w[[0, -1]] = 1.0
-    return (x * w) @ np.cos(np.pi * np.outer(j, j) / M)
-
-
-def test_cheb_transforms_match_cosine_sums():
-    rng = np.random.default_rng(11)
-    M = 12
-    F = rng.standard_normal((5, M + 1))
-    ref = _dct1_cosine_sum(F) / M
-    ref[:, [0, -1]] *= 0.5
-    assert np.max(np.abs(cheb_coeffs(F) - ref)) <= 1e-14
-    # node values sum_k b_k T_k(x_j), with T_k(x_j) = cos(pi k j / M)
-    b = rng.standard_normal((5, M + 2))
-    T = np.cos(np.pi * np.outer(np.arange(M + 1), np.arange(M + 2)) / M)
-    assert np.max(np.abs(antideriv_nodes(b) - b @ T.T)) <= 1e-14
-
-
-@pytest.mark.parametrize("rows, M", [(339, 192), (132, 492)])
-def test_cheb_transforms_match_scipy(rows, M):
-    # the row blocks of n=2 and n=6 sweeps, bitwise
-    fft = pytest.importorskip("scipy.fft")
-    rng = np.random.default_rng(M)
-    F = rng.standard_normal((rows, M + 1))
-    ref = fft.dct(F, type=1, axis=-1)
-    ref /= M
-    ref[:, 0] *= 0.5
-    ref[:, -1] *= 0.5
-    assert np.array_equal(cheb_coeffs(F), ref)
-    assert np.array_equal(cheb_coeffs(F, dct_work(M, rows)), ref)
-    b = np.asfortranarray(rng.standard_normal((rows, M + 2)))  # as swept
-    c = b[:, : M + 1].copy()
-    c[:, [0, -1]] *= 2.0
-    ref = fft.dct(c, type=1, axis=-1)
-    ref *= 0.5
-    j = np.arange(M + 1)
-    ref += b[:, M + 1 :] * ((-1.0) ** j * np.cos(np.pi * j / M))
-    assert np.array_equal(antideriv_nodes(b, dct_work(M, rows)), ref)
-
-
-def test_cheb_transform_rows_do_not_depend_on_the_block():
-    # 339 rows take several of the transform's work slices
-    rng = np.random.default_rng(5)
-    M = 192
-    F = rng.standard_normal((339, M + 1))
-    b = np.asfortranarray(rng.standard_normal((339, M + 2)))
-    c, nodes = cheb_coeffs(F, dct_work(M, 339)), antideriv_nodes(b, dct_work(M, 339))
-    for i in (0, 83, 84, 200, 338):
-        assert np.array_equal(cheb_coeffs(F[i]), c[i])
-        assert np.array_equal(antideriv_nodes(b[i]), nodes[i])
-    # written over its input, as the sweep build does
-    G = F.copy()
-    assert np.array_equal(cheb_coeffs(G, dct_work(M, 339), G), c) and np.array_equal(G, c)
-
-
-def test_cheb_batch_axis():
-    xn = _nodes(24)
-    F = np.stack([np.cos(xn), np.sin(xn), xn**3])
-    c = cheb_coeffs(F)
-    xs = np.linspace(-1.0, 1.0, 33)
-    vals = clenshaw(c[:, None, :], xs[None, :])
-    assert vals.shape == (3, 33)
-    assert np.allclose(vals[0], np.cos(xs), atol=1e-14)
-    assert np.allclose(vals[2], xs**3, atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
 # schedule
 
 
@@ -285,30 +156,6 @@ def test_endpoint_exponent_regression(n, r, m_end):
     # regression pins for the fitted outermost exponent
     eng = _engine(make_params(n, r))
     assert eng.m_end == pytest.approx(m_end, rel=5e-4)
-    assert eng.ncheb >= 192
-
-
-def _is_7_smooth(k):
-    for p in (2, 3, 5, 7):
-        while k % p == 0:
-            k //= p
-    return k == 1
-
-
-@pytest.mark.parametrize(
-    "n, r, ncheb",
-    [(2, 0.8, 192), (3, 0.7, 192), (4, 0.63, 210), (6, 0.534, 500),
-     (8, 0.47, 250), (3, 0.705, 336)],
-)
-def test_series_length_is_fft_friendly(n, r, ncheb):
-    # the DCT-I is a real FFT of 2*ncheb points: the length is the smallest
-    # at or above the resolution rule with no prime factor above 7
-    eng = _engine(make_params(n, r))
-    need = int(max(192, 2.5 * eng.m_end + 48))
-    assert eng.ncheb >= need
-    assert _is_7_smooth(2 * eng.ncheb)
-    assert not any(_is_7_smooth(2 * k) for k in range(need, eng.ncheb))
-    assert eng.ncheb == ncheb
 
 
 def test_small_curves_are_round(p28):
@@ -443,11 +290,11 @@ def test_jets_share_leading_outputs_bitwise(n, r):
     assert np.array_equal(VA1, VA4) and np.array_equal(VA1, VA5)
     assert np.array_equal(VAA2, VAA5)
     assert np.array_equal(Val3, Val4) and np.array_equal(Val3, Val5)
-    sweep0 = eng.build_sweep(sched[1])
-    sweep1 = eng.build_sweep(sched[2], 1)
-    assert len(sweep0) == 3 and len(sweep1) == 5
-    for x, y in zip(sweep0[:2] + sweep0[2], sweep1[:2] + sweep1[2]):
-        assert np.array_equal(x, y)
+    al = alpha[1:]  # the sweep fraction takes alpha > 0
+    tau0 = eng.sweep_fraction(A[1:], tuple(x[1:] for x in sched[1]), al)
+    tau1 = eng.sweep_fraction(A[1:], tuple(x[1:] for x in sched[2]), al, 1)
+    assert len(tau0) == 2 and len(tau1) == 3
+    assert all(np.array_equal(x, y) for x, y in zip(tau0, tau1))
 
 
 @pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
@@ -474,25 +321,6 @@ def test_radius_matches_long_double(n, r):
     assert np.all(V_al[alpha == 0.0] == 0.0)
 
 
-@pytest.mark.parametrize("order, bound_mib", [(0, 4.5), (1, 6.5)])
-def test_sweep_build_temporaries(order, bound_mib):
-    # the node grid is evaluated in place, in a handful of row-block
-    # buffers: an allocating kernel peaked at 9.1 (order 0) and 13.1 MiB
-    # (order 1) beyond the returned coefficients on these 2000 rows.  The
-    # DCT work buffers, 0.5 MiB, are allocated by each call and counted.
-    eng = _engine(make_params(2, 0.8))
-    sched = eng.schedule(np.geomspace(1e-6, 0.999, 2000) * eng.area_max, order + 1)
-    eng.build_sweep(sched, order)  # warm-up: numpy caches its FFT plans
-    tracemalloc.start()
-    try:
-        out = eng.build_sweep(sched, order)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(out) == 3 + 2 * order
-    assert (peak - current) / 2**20 <= bound_mib
-
-
 @settings(max_examples=60, deadline=None)
 @given(frac=st.floats(min_value=1e-6, max_value=1.0 - 1e-9))
 def test_level_curve_invariants(frac):
@@ -512,27 +340,41 @@ def test_level_curve_invariants(frac):
 
 
 def _tau_reference(mp, A, row, alpha):
-    """``tau = I + A (I_z z_A + I_p p_A)`` at 40 digits, from the float jet.
+    """``(tau, 1 - tau, tau_A)`` at 40 digits, from the float second-order jet.
 
-    The reference reflects: above ``z = 1/2`` it takes ``1 - I_{1-z}`` with
-    ``1 - z`` from ``log(1 - z)``, where ``betainc`` at ``z`` would round
-    ``z`` to 1.  ``I_p`` is a numerical derivative of mpmath's ``betainc``.
+    ``tau = I + A (I_z z_A + I_p p_A)``, taken literally.  The reference
+    reflects: above ``z = 1/2`` it takes ``1 - I_{1-z}`` with ``1 - z``
+    from ``log(1 - z)``, where ``betainc`` at ``z`` would round ``z`` to 1.
+    ``I_p`` is a numerical derivative of mpmath's ``betainc``, and
+    ``tau_A`` one of ``tau`` in the area, with ``(h, a, m)`` and their
+    first derivatives replaced by the jet's quadratic Taylor model around
+    ``A``.
     """
     with mp.workdps(40):
-        h, a, m, h_A, a_A, m_A = (mp.mpf(float(x)) for x in row)
-        A, alpha, p = mp.mpf(float(A)), mp.mpf(float(alpha)), 1 / m
-        ell = mp.log(a / h) + mp.log(mp.tan(alpha))
-        L = m / 2 * ell
-        log_z, log_1mz = -mp.log1p(mp.exp(-2 * L)), -mp.log1p(mp.exp(2 * L))
-        z_small = mp.exp(log_z if L <= 0 else log_1mz)
+        h0, a0, m0, hA, aA, mA, hAA, aAA, mAA = (mp.mpf(float(x)) for x in row)
+        A0, log_tan = mp.mpf(float(A)), mp.log(mp.tan(mp.mpf(float(alpha))))
 
-        def I(q):
-            frac = mp.betainc(q, q, 0, z_small, regularized=True)
-            return frac if L <= 0 else 1 - frac
+        def tau(Ax):
+            d = Ax - A0
+            h, a, m = (x + d * (x1 + d * x2 / 2)
+                       for x, x1, x2 in ((h0, hA, hAA), (a0, aA, aAA), (m0, mA, mAA)))
+            h_A, a_A, m_A = hA + d * hAA, aA + d * aAA, mA + d * mAA
+            p = 1 / m
+            ell = mp.log(a / h) + log_tan
+            L = m / 2 * ell
+            log_z, log_1mz = -mp.log1p(mp.exp(-2 * L)), -mp.log1p(mp.exp(2 * L))
+            z_small = mp.exp(log_z if L <= 0 else log_1mz)
 
-        L_A = m_A / 2 * ell + m / 2 * (a_A / a - h_A / h)
-        I_z_z_A = 2 * mp.exp(p * (log_z + log_1mz)) / mp.beta(p, p) * L_A
-        return float(I(p) + A * (I_z_z_A - mp.diff(I, p) * m_A / m**2))
+            def I(q):
+                frac = mp.betainc(q, q, 0, z_small, regularized=True)
+                return frac if L <= 0 else 1 - frac
+
+            L_A = m_A / 2 * ell + m / 2 * (a_A / a - h_A / h)
+            I_z_z_A = 2 * mp.exp(p * (log_z + log_1mz)) / mp.beta(p, p) * L_A
+            return I(p) + Ax * (I_z_z_A - mp.diff(I, p) * m_A / m**2)
+
+        t = tau(A0)
+        return float(t), float(1 - t), float(mp.diff(tau, A0))
 
 
 def _tau_points(eng, count, rng):
@@ -560,19 +402,30 @@ def test_sweep_fraction_matches_mpmath(n, r):
     mp = pytest.importorskip("mpmath")
     eng = _engine(make_params(n, r))
     A, alpha = _tau_points(eng, 200, np.random.default_rng(n * 100 + int(r * 100)))
-    sched = eng.schedule(A, 1)
+    sched = eng.schedule(A, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tau = eng.sweep_fraction(A, sched, alpha)
-    ref = np.array([_tau_reference(mp, *x) for x in zip(A, zip(*sched), alpha)])
+        tau, rest, tau_A = eng.sweep_fraction(A, sched, alpha, 1)
+    ref, ref_rest, ref_A = np.array(
+        [_tau_reference(mp, *x) for x in zip(A, zip(*sched), alpha)]).T
     assert np.max(np.abs(tau - ref)) <= 1e-15
+    assert np.max(np.abs(rest - ref_rest)) <= 1e-15
+    # A tau_A is O(1); it vanishes on round curves, so it is held to an
+    # absolute bound, and relative to tau where tau is small
+    err_A = A * np.abs(tau_A - ref_A)
+    assert np.max(err_A) <= 1e-15
     small = ref < 1e-3
     assert small.sum() > 40
     assert np.max(np.abs(tau[small] / ref[small] - 1.0)) <= 1e-12
+    assert np.max(err_A[small] / ref[small]) <= 1e-12
+    # and 1 - tau near the top, where the angle solve reads it
+    top = ref_rest < 1e-3
+    assert top.sum() > 40
+    assert np.max(np.abs(rest[top] / ref_rest[top] - 1.0)) <= 1e-12
     # a few rows are summed in floats, with the bits of the batch
     for k in (slice(0, 1), slice(3, 11)):
-        one = eng.sweep_fraction(A[k], tuple(x[k] for x in sched), alpha[k])
-        assert np.array_equal(one, tau[k])
+        one = eng.sweep_fraction(A[k], tuple(x[k] for x in sched), alpha[k], 1)
+        assert all(np.array_equal(x, y[k]) for x, y in zip(one, (tau, rest, tau_A)))
 
 
 @pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
@@ -581,12 +434,12 @@ def test_sweep_fraction_at_the_midline_is_twice_the_radius_rate(n, r):
     eng = _engine(make_params(n, r))
     A = eng.area_max * np.geomspace(1e-8, 1.0 - 1e-9, 300)
     sched = eng.schedule(A, 1)
-    tau = eng.sweep_fraction(A, sched, np.full(A.size, 1e-300))
+    tau, _ = eng.sweep_fraction(A, sched, np.full(A.size, 1e-300))
     _, V_A = eng.radius_jet(sched, np.zeros(A.size), 1)
     assert np.max(np.abs(tau / 1e-300 / (2.0 * V_A) - 1.0)) <= 1e-12
     # and the whole quarter sweep is 1, to the float pi/2's rounding
-    top = eng.sweep_fraction(A, sched, np.full(A.size, np.pi / 2.0))
-    assert np.max(np.abs(top - 1.0)) <= 1e-16
+    top, rest = eng.sweep_fraction(A, sched, np.full(A.size, np.pi / 2.0))
+    assert np.max(np.abs(top - 1.0)) <= 1e-16 and np.max(rest) <= 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +447,8 @@ def test_sweep_fraction_at_the_midline_is_twice_the_radius_rate(n, r):
 
 
 def _solve_grid(n, r):
-    """Areas across the whole range, sweep fractions including both ends."""
+    """Areas across the whole range, sweep fractions in (0, 1) including
+    both ends' neighbours."""
     eng = _engine(make_params(n, r))
     am = eng.area_max
     A = np.concatenate(
@@ -605,7 +459,8 @@ def _solve_grid(n, r):
         ]
     )
     rng = np.random.default_rng(7)
-    tau = np.concatenate([[0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0], rng.random(20)])
+    top = np.nextafter(1.0, 0.0)
+    tau = np.concatenate([[1e-300, 1e-12, 0.5, 1.0 - 1e-12, top], rng.random(20)])
     A, tau = (x.ravel() for x in np.meshgrid(A, tau, indexing="ij"))
     return eng, A, tau
 
@@ -615,85 +470,49 @@ _SOLVE_CASES = [(2, 0.8), (3, 0.7), (4, 0.63), (6, 0.534)]
 
 @pytest.mark.parametrize("n, r", _SOLVE_CASES)
 def test_solve_angle_residual_at_roundoff(n, r):
-    eng, A, tau = _solve_grid(n, r)
+    eng, A, tau4 = _solve_grid(n, r)
     sched = eng.schedule(A, 1)
-    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
-    _, s = eng.solve_angle(sched, b, total, wp, tau, bracket)
-    assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 2e-15
+    alpha = discmap._solve_angle(eng, A, sched, tau4)
+    tau, rest = eng.sweep_fraction(A, sched, alpha)
+    # near the top the residual is read in 1 - tau, where 1 - tau4 is exact
+    res = np.where(tau4 <= 0.5, tau - tau4, (1.0 - tau4) - rest)
+    assert np.max(np.abs(res)) <= 1e-15
+    # relative to the smaller of tau4 and 1 - tau4, up to what the float
+    # angle can resolve: tau moves by 2 V_A per unit of alpha
+    V_A = eng.radius_jet(sched, alpha, 1)[1]
+    edge = np.minimum(tau4, 1.0 - tau4)
+    assert np.all(np.abs(res) <= 1e-13 * edge + 8.0 * V_A * np.spacing(alpha))
 
 
 @pytest.mark.parametrize("n, r", _SOLVE_CASES)
-def test_solve_angle_hermite_start(n, r, monkeypatch):
-    # the start alone, so a poor start cannot hide behind the Newton steps
-    eng, A, tau = _solve_grid(n, r)
+def test_solve_angle_passes(n, r, monkeypatch):
+    # the start and a few Newton steps: each pass evaluates only the rows
+    # still moving, and most rows stop after one or two
+    eng, A, tau4 = _solve_grid(n, r)
     sched = eng.schedule(A, 1)
-    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
-    monkeypatch.setattr(curves, "_NEWTON_STEPS", 0)
-    _, s = eng.solve_angle(sched, b, total, wp, tau, bracket)
-    assert np.max(np.abs(clenshaw(b, s) - tau * total)) <= 1e-7
+    rows = []
+    fraction = eng.sweep_fraction
+
+    def counting(A, sched, alpha, order=0):
+        rows.append(alpha.size)
+        return fraction(A, sched, alpha, order)
+
+    monkeypatch.setattr(eng, "sweep_fraction", counting)
+    discmap._solve_angle(eng, A, sched, tau4)
+    assert rows[0] == A.size and rows == sorted(rows, reverse=True)
+    assert len(rows) <= 7 and sum(rows) <= 3 * A.size
 
 
 @pytest.mark.parametrize("n, r", _SOLVE_CASES)
 def test_solved_angle_has_its_closed_form_fraction(n, r):
-    # the series and the closed form are independent; they differ most in
-    # the band of areas where the fixed-length series is not resolved
-    # (1.4e-11 at n=3, A/A_max = 4e-4)
-    eng, A, tau = _solve_grid(n, r)
-    sched = eng.schedule(A, 1)
-    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
-    alpha, _ = eng.solve_angle(sched, b, total, wp, tau, bracket)
+    # the map's own angle, read back off its image point, has the sweep
+    # fraction it was placed at
+    eng, A, tau4 = _solve_grid(n, r)
+    params = make_params(n, r)
+    Q, P = discmap.level_curve_point(A, tau4 / 4.0, params)
+    alpha = np.arctan2(P - params.c, Q - np.pi / 2.0)
     off = alpha > 0.0
-    closed = eng.sweep_fraction(A[off], tuple(x[off] for x in sched), alpha[off])
-    diff = np.abs(closed - tau[off])
-    assert np.median(diff) <= 1e-14 and np.max(diff) <= 3e-11
-
-
-@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
-def test_sweep_build_brackets_from_its_row_blocks(n, r):
-    # the bracket the build takes from each row-major block is the one a
-    # pass of `antideriv_nodes` over the whole column-major result gives
-    eng, A, tau = _solve_grid(n, r)
-    assert len(eng.row_blocks(A.size)) > 1
-    sched = eng.schedule(A, 2)
-    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
-    assert b.flags.f_contiguous
-    M = eng.ncheb
-    F = antideriv_nodes(b)
-    F[:, 0], F[:, -1] = total, 0.0
-    below = np.sum(F < (tau * total)[:, None], axis=-1)
-    j = M + 1 - np.clip(below, 1, M)
-    rows = np.arange(A.size)
-    for x, y in zip(bracket, (j, F[rows, j], F[rows, j - 1])):
-        assert np.array_equal(x, y)
-    # the same series without a bracket, and the same bracket at order 1
-    plain = eng.build_sweep(sched)
-    assert np.array_equal(plain[0], b) and np.array_equal(plain[1], total)
-    *_, bracket1 = eng.build_sweep(sched, 1, tau)
-    assert all(np.array_equal(x, y) for x, y in zip(bracket, bracket1))
-
-
-def test_solve_angle_series_passes(p28, monkeypatch):
-    eng = _engine(p28)
-    rng = np.random.default_rng(3)
-    A = rng.uniform(1e-6, 0.999, 64) * eng.area_max
-    tau = rng.random(64)
-    sched = eng.schedule(A, 1)
-    passes = []
-
-    def counting(name):
-        fn = getattr(curves, name)
-
-        def wrapped(*args):
-            passes.append(name)
-            return fn(*args)
-
-        return wrapped
-
-    for name in ("antideriv_nodes", "clenshaw"):
-        monkeypatch.setattr(curves, name, counting(name))
-    # the node values are taken once, in the build's one row block; the
-    # solve then makes two series passes
-    assert len(eng.row_blocks(64)) == 1
-    b, total, wp, bracket = eng.build_sweep(sched, 0, tau)
-    eng.solve_angle(sched, b, total, wp, tau, bracket)
-    assert passes == ["antideriv_nodes", "clenshaw", "clenshaw"]
+    sched = tuple(x[off] for x in eng.schedule(A, 1))
+    tau, _ = eng.sweep_fraction(A[off], sched, alpha[off])
+    assert off.sum() > 0.9 * A.size
+    assert np.max(np.abs(tau - tau4[off])) <= 1e-12

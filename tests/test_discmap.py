@@ -75,22 +75,22 @@ def test_midline_sign_survives_the_branch_cut(n, r):
 
 
 @pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
-def test_angle_near_the_diameter_is_resolved(n, r):
-    # near alpha = 0 the quarter sweep is V_A(A, 0) * alpha + O(alpha**3)
-    # and its total is 1/2, so P - c = R * tau4 / (2 V_A(A, 0)) up to
-    # O(alpha**2); the target there lies below the series' own rounding
-    # (about 1e-16), which must not decide the angle
+def test_angle_near_the_diameter_is_resolved(n, r, monkeypatch):
+    # near alpha = 0 the quarter sweep fraction is 2 V_A(A, 0) alpha +
+    # O(alpha**3), so P - c = R tau4 / (2 V_A(A, 0)) up to O(alpha**2); with
+    # the midline moved to P = 0, P itself shows that to full precision
     params = make_params(n, r)
     eng = curves._engine(params)
+    monkeypatch.setattr(eng, "c", 0.0)
     for q in (0.5, -0.3, 0.05):
         A = np.array([np.pi * q * q])
         V, V_A = eng.radius_jet(eng.schedule(A, 1), np.zeros(1), 1)
-        for p in (1e-16, 1e-14, 1e-11):
-            tau4 = 4.0 * np.arctan2(p, abs(q)) / (2.0 * np.pi)
-            expected = np.sqrt(V[0]) * tau4 / (2.0 * V_A[0])
-            _, P = sigma(q, p, params)
-            assert abs((P - params.c) - expected) <= (
-                2.0 * np.spacing(params.c) + 1e-3 * expected)
+        ratio = np.array([1e-16, 1e-30, 1e-100, 1e-200, 1e-300])
+        p = ratio * abs(q)
+        tau4 = 4.0 * np.arctan2(p, abs(q)) / (2.0 * np.pi)
+        expected = np.sqrt(V[0]) * tau4 / (2.0 * V_A[0])
+        for _, P in (sigma(q, p, params), sigma_jacobian(q, p, params)[:2]):
+            assert np.max(np.abs(P / expected - 1.0)) <= 1e-12
 
 
 def test_reflection_equivariance(p28, rng):
@@ -200,11 +200,8 @@ def test_blocks_do_not_change_results(n, r, rng, monkeypatch):
     Q, P = sigma(q, p, params)
     jac = sigma_jacobian(q, p, params)
     inv = sigma_inv(Q, P, params)
-    # 37-point outer blocks, 3-row inner blocks: both levels cross many
-    # boundaries, and the last block of each is short
-    ncheb = curves._engine(params).ncheb
+    # 37-point blocks cross many boundaries, and the last one is short
     monkeypatch.setattr(discmap, "_BLOCK", 37)
-    monkeypatch.setattr(curves, "_SWEEP_ELEMS", 3 * (ncheb + 1))
     assert np.array_equal(sigma(q, p, params), (Q, P))
     blocked = sigma_jacobian(q, p, params)
     assert all(np.array_equal(x, y) for x, y in zip(blocked, jac))
@@ -219,15 +216,15 @@ def test_blocks_do_not_change_results(n, r, rng, monkeypatch):
 
 def _sweep_heights(eng, monkeypatch):
     """Record the half-height ``h``, which grows strictly with the area, of
-    every row whose schedule `build_sweep` is handed."""
+    every row whose schedule `sweep_fraction` is handed."""
     seen = []
-    build = eng.build_sweep
+    fraction = eng.sweep_fraction
 
-    def recording(sched, order=0, tau4=None):
+    def recording(A, sched, alpha, order=0):
         seen.append(np.array(sched[0], dtype=float).ravel())
-        return build(sched, order, tau4)
+        return fraction(A, sched, alpha, order)
 
-    monkeypatch.setattr(eng, "build_sweep", recording)
+    monkeypatch.setattr(eng, "sweep_fraction", recording)
     return lambda: np.concatenate(seen) if seen else np.empty(0)
 
 
@@ -236,25 +233,29 @@ def test_axis_points_build_no_sweep(n, r, rng, monkeypatch):
     params = make_params(n, r)
     eng = curves._engine(params)
     seen = _sweep_heights(eng, monkeypatch)
-    # the diameter, as every certificate maps it: no sweep at all
+    # the diameter, as every certificate maps it: no sweep fraction at all
     diam = np.zeros((50, 2 * n))
     diam[:, 0::2] = ball_points(rng, make_params(n, r, params.epsilon), 50)[:, :n]
     phi(diam, params)
     level_curve_point(0.5, np.array([0.0, 0.25, 0.5, 0.75, 1.0]), params)
+    sigma_jacobian(diam[:, 0], diam[:, 1], params)
     assert seen().size == 0
-    # a mixed batch: exactly the off-axis rows, in order
+    # a mixed batch: exactly the off-axis rows, first all of them in order,
+    # then those still moving; the Jacobian's tau_A reads the same rows,
+    # and no axis row nor the centre's stand-in area reaches the closed form
     pts = ball_points(rng, make_params(1, r, params.epsilon), 40)
     pts[::4, 1] = 0.0
     pts[1::4, 0] = 0.0
     pts[2] = [0.0, 0.0]
     q, p = pts[:, 0], pts[:, 1]
     off = (q != 0.0) & (p != 0.0)
-    sigma(q, p, params)
-    assert np.array_equal(seen(), eng.schedule(np.pi * (q * q + p * p)[off])[0])
-    # the Jacobian needs the sweep's totals on the axes too: every row
-    # (the centre with its stand-in area)
-    sigma_jacobian(q, p, params)
-    assert seen().size == off.sum() + q.size
+    h_off = eng.schedule(np.pi * (q * q + p * p)[off])[0]
+    for call in (sigma, sigma_jacobian):
+        before = seen().size
+        call(q, p, params)
+        rows = seen()[before:]
+        assert np.array_equal(rows[: off.sum()], h_off)
+        assert np.array_equal(np.unique(rows), np.unique(h_off))
 
 
 @pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
@@ -285,6 +286,40 @@ def _peak_mib(fn, *args):
 def test_sigma_memory_is_bounded(p28, rng):
     pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 100000)
     assert _peak_mib(sigma, pts[:, 0], pts[:, 1], p28) <= 256.0
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_jacobian_memory_is_bounded(n, r, rng):
+    # beyond its 4.6 MiB of outputs, 1e5 points took 15.4 MiB at either n:
+    # the per-point polar preamble and the joined 4096-point blocks
+    params = make_params(n, r)
+    pts = ball_points(rng, make_params(1, r, params.epsilon), 100000)
+    q, p = pts[:, 0].copy(), pts[:, 1].copy()
+    sigma_jacobian(q[:10], p[:10], params)  # the engine, built outside the count
+    tracemalloc.start()
+    try:
+        out = sigma_jacobian(q, p, params)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current >= sum(x.nbytes for x in out)
+    assert (peak - current) / 2**20 <= 20.0
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_few_rows_match_a_full_block(n, r, rng):
+    # one to eight rows take the float path of the sweep fraction's series,
+    # in the angle solve and in tau_A: bitwise the same rows in a block
+    params = make_params(n, r)
+    pts = ball_points(rng, make_params(1, r, params.epsilon), discmap._BLOCK)
+    q, p = pts[:, 0], pts[:, 1]
+    Q, P, J = sigma_jacobian(q, p, params)
+    for k in range(1, 9):
+        sl = slice(500 * k, 500 * k + k)
+        Qk, Pk, Jk = sigma_jacobian(q[sl], p[sl], params)
+        assert np.array_equal(Qk, Q[sl]) and np.array_equal(Pk, P[sl])
+        assert np.array_equal(Jk, J[sl])
+        assert np.array_equal(sigma(q[sl], p[sl], params), (Q[sl], P[sl]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +421,7 @@ def test_inverse_radius_passes(p28, monkeypatch, rng):
     pts = ball_points(rng, make_params(1, p28.r, p28.epsilon), 64)
     Q, P = sigma(pts[:, 0], pts[:, 1], p28)
     calls = [0]
-    radius_jet = eng.radius_jet  # behind the area solve and every sweep build
+    radius_jet = eng.radius_jet  # behind the area solve
 
     def counting(*args, **kwargs):
         calls[0] += 1
@@ -410,25 +445,24 @@ def test_inverse_returns_axis_points_exactly(n, r, rng, monkeypatch):
     assert np.all(p == 0.0) and np.array_equal(np.sign(q), np.sign(s))
     q, p = sigma_inv(*sigma(zero, s, params), params)
     assert np.all(q == 0.0) and np.array_equal(np.sign(p), np.sign(s))
-    # no point builds a sweep series, and symmetry fixes the sweep fraction
+    # the inverse runs no angle solve, and symmetry fixes the sweep fraction
     # of the axis points, so they do not reach the closed form either
     axes = sigma(np.append(s, zero), np.append(zero, s), params)
     pts = ball_points(rng, make_params(1, r, params.epsilon), 30)
     off = sigma(pts[:, 0], pts[:, 1], params)
     eng = curves._engine(params)
 
-    def no_series(*args, **kwargs):
-        raise AssertionError("sigma_inv built a sweep series")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sigma_inv solved for a sweep angle")
 
     closed = []
     fraction = eng.sweep_fraction
 
-    def recording(A, sched, alpha):
+    def recording(A, sched, alpha, order=0):
         closed.append(alpha.size)
-        return fraction(A, sched, alpha)
+        return fraction(A, sched, alpha, order)
 
-    monkeypatch.setattr(eng, "build_sweep", no_series)
-    monkeypatch.setattr(discmap, "clenshaw", no_series)
+    monkeypatch.setattr(discmap, "_solve_angle", no_solve)
     monkeypatch.setattr(eng, "sweep_fraction", recording)
     sigma_inv(*axes, params)
     assert closed == []
