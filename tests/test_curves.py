@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -442,6 +443,111 @@ def test_sweep_fraction_at_the_midline_is_twice_the_radius_rate(n, r):
     assert np.max(np.abs(top - 1.0)) <= 1e-16 and np.max(rest) <= 1e-16
 
 
+# The next tests keep the names of the Chebyshev series tests whose
+# properties the closed form now carries: the antiderivative, the batch
+# axis, rows independent of their block, the float path of a few points,
+# and bounded temporaries.
+
+
+def test_antiderivative_of_exp():
+    # tau is the antiderivative in alpha of 2 V_A that vanishes at alpha =
+    # 0.  A composite Gauss rule graded towards the corner tan(alpha) = h/a,
+    # where V_A peaks sharply at large m, takes the integral to roundoff;
+    # the worst difference, 3.3e-12, is at n=2, A/A_max = 1e-3
+    xg, wg = np.polynomial.legendre.leggauss(30)
+    grade = np.geomspace(1.0, 1e-14, 60)
+    for n, r in [(2, 0.8), (6, 0.534)]:
+        eng = _engine(make_params(n, r))
+        for frac in (1e-6, 1e-3, 0.05, 0.3, 0.7, 0.999):
+            A = np.array([frac * eng.area_max])
+            sched = eng.schedule(A, 1)
+            corner = math.atan(sched[0][0] / sched[1][0])
+            cuts = np.concatenate([corner * (1.0 - grade), [corner],
+                                   corner + (np.pi / 2.0 - corner) * grade[::-1]])
+            for alpha in (0.1, 0.5, 1.0, 1.4, np.pi / 2.0):
+                ends = np.unique(np.clip(cuts, 0.0, alpha))
+                mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+                beta = (mid[:, None] + half[:, None] * xg).ravel()
+                rows = tuple(np.full(beta.size, x[0]) for x in sched)
+                V_A = eng.radius_jet(rows, beta, 1)[1].reshape(-1, xg.size)
+                integral = 2.0 * np.sum(half * (V_A @ wg))
+                tau, _ = eng.sweep_fraction(A, sched, np.array([alpha]))
+                assert abs(tau[0] - integral) <= 1e-11
+
+
+def test_cheb_batch_axis():
+    # the sweep fraction is elementwise: a 2-D batch gives the flat rows'
+    # bits in its own shape, at either order
+    eng = _engine(make_params(3, 0.7))
+    A, alpha = _tau_points(eng, 99, np.random.default_rng(3))
+    sched = eng.schedule(A, 2)
+    for order in (0, 1):
+        flat = eng.sweep_fraction(A, sched, alpha, order)
+        grid = eng.sweep_fraction(A.reshape(3, 33), tuple(x.reshape(3, 33) for x in sched),
+                                  alpha.reshape(3, 33), order)
+        assert len(grid) == 2 + order
+        for x, y in zip(grid, flat):
+            assert x.shape == (3, 33) and np.array_equal(x.ravel(), y)
+
+
+def test_cheb_transform_rows_do_not_depend_on_the_block():
+    # 339 rows of the sweep fraction, alone or in any block, have the bits
+    # of the whole batch, and its inputs are read, not written over
+    eng = _engine(make_params(6, 0.534))
+    A, alpha = _tau_points(eng, 339, np.random.default_rng(5))
+    sched = eng.schedule(A, 2)
+    inputs = [x.copy() for x in (A, alpha, *sched)]
+    full = eng.sweep_fraction(A, sched, alpha, 1)
+    assert all(np.array_equal(x, y) for x, y in zip((A, alpha, *sched), inputs))
+    for i in (0, 83, 84, 200, 338):
+        for sl in (slice(i, i + 1), slice(max(i - 40, 0), i + 1), slice(i, i + 117)):
+            part = eng.sweep_fraction(A[sl], tuple(x[sl] for x in sched), alpha[sl], 1)
+            assert all(np.array_equal(x, y[sl]) for x, y in zip(part, full))
+
+
+def test_clenshaw_few_points_match_the_batch():
+    # up to `_FLOAT_POINTS` rows sum the series of `_sweep_tail` in Python
+    # floats: bitwise what the batch gives, at either order and in any shape
+    eng = _engine(make_params(2, 0.8))
+    A, alpha = _tau_points(eng, 40, np.random.default_rng(7))
+    sched = eng.schedule(A, 2)
+    full = eng.sweep_fraction(A, sched, alpha, 1)
+
+    def part(sl, order=1, shape=None):
+        args = (A[sl], alpha[sl], *(x[sl] for x in sched))
+        if shape:
+            args = tuple(x.reshape(shape) for x in args)
+        return eng.sweep_fraction(args[0], args[2:], args[1], order)
+
+    assert curves._FLOAT_POINTS == 8
+    for k in range(1, 9):
+        for sl in (slice(-k, None), slice(k, k + 1), slice(k, 2 * k)):
+            assert all(np.array_equal(x, y[sl]) for x, y in zip(part(sl), full))
+        tau, rest = part(slice(-k, None), 0)
+        assert np.array_equal(tau, full[0][-k:]) and np.array_equal(rest, full[1][-k:])
+    grid = part(slice(0, 6), 1, (2, 3))
+    assert all(np.array_equal(x, y[:6].reshape(2, 3)) for x, y in zip(grid, full))
+
+
+@pytest.mark.parametrize("order, bound_mib", [(0, 4.5), (1, 6.5)])
+def test_sweep_build_temporaries(order, bound_mib):
+    # the sweep fraction's temporaries beyond its outputs: 16384 rows took
+    # 2.9 (order 0) and 5.2 MiB (order 1), about 23 and 41 row-length arrays
+    eng = _engine(make_params(2, 0.8))
+    N = 16384
+    A = np.geomspace(1e-6, 0.999, N) * eng.area_max
+    sched = eng.schedule(A, order + 1)
+    alpha = np.linspace(1e-3, np.pi / 2.0, N)
+    tracemalloc.start()
+    try:
+        out = eng.sweep_fraction(A, sched, alpha, order)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 2 + order
+    assert (peak - current) / 2**20 <= bound_mib
+
+
 # ---------------------------------------------------------------------------
 # sweep-angle solve
 
@@ -501,6 +607,73 @@ def test_solve_angle_passes(n, r, monkeypatch):
     discmap._solve_angle(eng, A, sched, tau4)
     assert rows[0] == A.size and rows == sorted(rows, reverse=True)
     assert len(rows) <= 7 and sum(rows) <= 3 * A.size
+
+
+# The next three tests keep the names of the series solve's tests: its
+# start, its series passes, and its per-row bracket.
+
+
+@pytest.mark.parametrize("n, r", _SOLVE_CASES)
+def test_solve_angle_hermite_start(n, r, monkeypatch):
+    # the start alone, so a poor start cannot hide behind the Newton steps.
+    # Near the diameter it is the asymptote tau = 2 V_A(A, 0) tan(alpha),
+    # to roundoff at tau4 <= 1e-12 (8e-14 in log-odds measured); in the
+    # middle it lies within 5 of the root in log-odds (4.6 measured, on
+    # round curves at tau4 = 0.996)
+    eng, A, tau4 = _solve_grid(n, r)
+    sched = eng.schedule(A, 1)
+    monkeypatch.setattr(discmap, "_ANGLE_STEPS", 0)
+    alpha = discmap._solve_angle(eng, A, sched, tau4)
+    assert np.all((alpha > 0.0) & (alpha <= np.pi / 2.0))
+    tau, rest = eng.sweep_fraction(A, sched, alpha)
+    for sel, bound in ((tau4 <= 1e-12, 1e-12), ((tau4 > 1e-3) & (tau4 < 1.0 - 1e-3), 5.0)):
+        g = np.log(tau[sel] / tau4[sel]) - np.log(rest[sel] / (1.0 - tau4[sel]))
+        assert sel.sum() > 100 and np.max(np.abs(g)) <= bound
+
+
+def test_solve_angle_series_passes(p28, monkeypatch):
+    # each pass of the solve sums the series of `_sweep_tail` once over the
+    # rows still moving: as one array while more than `_FLOAT_POINTS`
+    # remain, then row by row in floats
+    eng = _engine(p28)
+    rng = np.random.default_rng(3)
+    A = rng.uniform(1e-6, 0.999, 64) * eng.area_max
+    tau4 = rng.random(64)
+    sched = eng.schedule(A, 1)
+    rows, sums = [], []
+    fraction, tail = eng.sweep_fraction, curves._sweep_tail
+
+    def counting_rows(A, sched, alpha, order=0):
+        rows.append(alpha.size)
+        return fraction(A, sched, alpha, order)
+
+    def counting_sums(ez, *args):
+        sums.append(np.size(ez))
+        return tail(ez, *args)
+
+    monkeypatch.setattr(eng, "sweep_fraction", counting_rows)
+    monkeypatch.setattr(curves, "_sweep_tail", counting_sums)
+    discmap._solve_angle(eng, A, sched, tau4)
+    assert rows[0] == 64 and len(rows) <= 5 and sum(rows) <= 2 * 64
+    assert sums == [s for k in rows for s in ([k] if k > curves._FLOAT_POINTS else [1] * k)]
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
+def test_sweep_build_brackets_from_its_row_blocks(n, r):
+    # each row keeps its own bracket and stopping rule, so the angle it
+    # solves to does not depend on the block of rows it is solved in
+    eng, A, tau4 = _solve_grid(n, r)
+    sched = eng.schedule(A, 1)
+    alpha = discmap._solve_angle(eng, A, sched, tau4)
+
+    def solve(sl):
+        return discmap._solve_angle(eng, A[sl], tuple(x[sl] for x in sched), tau4[sl])
+
+    for size in (7, 9, 500):
+        parts = [solve(slice(i, i + size)) for i in range(0, A.size, size)]
+        assert np.array_equal(np.concatenate(parts), alpha)
+    for i in range(0, A.size, 37):
+        assert np.array_equal(solve(slice(i, i + 1)), alpha[i : i + 1])
 
 
 @pytest.mark.parametrize("n, r", _SOLVE_CASES)
