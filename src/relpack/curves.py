@@ -30,6 +30,7 @@ for every step.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -59,9 +60,19 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617
 # `_fit_exponent`: step cap, and the relative step in m**-2 that ends it.
 _FIT_STEPS = 60
 _FIT_TOL = 2.0**-50
-# Terms of `sweep_fraction`'s hypergeometric series past the first: each is
-# at most z <= 1/2 times the one before, so the rest is below 2**-56.
+# Terms of `sweep_fraction`'s hypergeometric series, at most: each is at
+# most z <= 1/2 times the one before, so at z = 1/2 the rest is below
+# 2**-56.  A row sums K(z) = min(_BETA_TERMS, ceil(64 ln 2 / -ln z)) terms
+# (`_term_count`), so z**K <= 2**-64: the omitted terms add up to at most
+# 2**-63 z, while the first term is at least z/257 (p >= 1/512), so they
+# lie below half an ulp of T, and the sums are bitwise those of all
+# _BETA_TERMS terms (checked for T, T_p and the three second-order sums at
+# every boundary of K).
 _BETA_TERMS = 56
+_LN2_64 = 64.0 * math.log(2.0)
+# `_series_rows` carries its last this many live rows on in Python floats,
+# whose steps cost less there than a numpy call per step.
+_TAIL_ROWS = 24
 
 
 def area_factor(m):
@@ -247,42 +258,30 @@ def _sweep_tail(ez, p, G, lam, E, X, Y, c, *second):
     """``(G W,)``, the last steps of `sweep_fraction`, on floats or arrays.
 
     With ``z = ez/(1 + ez)``, sums ``T = sum_{k>=1} (2p)_k/(p+1)_k z**k``
-    over `_BETA_TERMS` terms and its p-derivative ``T_p``, in which a
-    term's log-derivative ``D_k`` is the running sum of ``2/(2p+j) -
-    1/(p+1+j) = (j+2)/((2p+j)(p+1+j))``.  Given four more arguments
-    ``(X2, Y2, c2, m)``, the parts of ``A d/dA`` of ``(X, Y, c)`` past
-    ``(X, Y, c)`` themselves, it appends ``A d(G W)/dA`` at fixed angle.
-    That takes ``z T_z = sum k s_k``, ``z T_pz = sum k s_k D_k`` and
-    ``T_pp = sum s_k (D_k**2 + D_k')`` from the same loop, and the
-    derivatives of ``lam``, ``E`` and ``z`` from ``A lam_A = m (c lam + (Y
-    - X)/2)``.  The augmented assignments update arrays in place and rebind
-    floats, so both take the same steps (as in `_log_area_factor_jet`).
+    and its p-derivative ``T_p`` over the row's own `_term_count` of terms
+    (`_series_row` on floats, `_series_rows` on arrays), in which a term's
+    log-derivative ``D_k`` is the running sum of ``2/(2p+j) - 1/(p+1+j) =
+    (j+2)/((2p+j)(p+1+j))``.  Given four more arguments ``(X2, Y2, c2,
+    m)``, the parts of ``A d/dA`` of ``(X, Y, c)`` past ``(X, Y, c)``
+    themselves, it appends ``A d(G W)/dA`` at fixed angle.  That takes ``z
+    T_z = sum k s_k``, ``z T_pz = sum k s_k D_k`` and ``T_pp = sum s_k
+    (D_k**2 + D_k')`` from the same loop, and the derivatives of ``lam``,
+    ``E`` and ``z`` from ``A lam_A = m (c lam + (Y - X)/2)``.  Since
+    ``-ln z = 2 lam + E``, the term count needs no log of its own.
     """
     z = ez / (1.0 + ez)
-    tp, p1 = 2.0 * p, p + 1.0
-    s, T, D, Tp = 1.0 + 0.0 * z, 0.0 * z, 0.0 * z, 0.0 * z
-    if second:
-        D1, Tk, Tpz, Tpp = 0.0 * z, 0.0 * z, 0.0 * z, 0.0 * z
-    for j in range(_BETA_TERMS):
-        u, v = tp + j, p1 + j
-        s *= u
-        s /= v
-        s *= z
-        T += s
-        uv = u * v
-        D += (j + 2.0) / uv
-        Tp += s * D
-        if second:
-            # d/dp of (j+2)/(u v), with u' = 2 and v' = 1
-            D1 -= (j + 2.0) * (2.0 * v + u) / (uv * uv)
-            ks = (j + 1.0) * s
-            Tk += ks
-            Tpz += ks * D
-            Tpp += s * (D * D + D1)
+    if isinstance(z, float):
+        ns = 5 if second else 2
+        sums = _series_row(z, p, _term_count(2.0 * lam + E), 0,
+                           [0.0] * ns + [1.0, 0.0, 0.0])
+    else:
+        sums = _series_rows(z, p, 2.0 * lam + E, bool(second))
+    T, Tp = sums[:2]
     W = X * (2.0 + T) + (Y + 2.0 * c * lam) * T + c * (2.0 * E * (1.0 + T) - Tp)
     if not second:
         return (G * W,)
     # A d/dA of lam, E, z (over z), T and T_p; A p_A = -c
+    Tk, Tpz, Tpp = sums[2:5]
     X2, Y2, c2, m = second
     dlam = m * (c * lam + 0.5 * (Y - X))
     dE = -2.0 * z * dlam
@@ -296,6 +295,109 @@ def _sweep_tail(ez, p, G, lam, E, X, Y, c, *second):
           + 2.0 * (c2 * E + c * dE) * (1.0 + T) - c2 * Tp
           + (X + Y + 2.0 * c * (lam + E)) * dT - c * dTp)
     return G * W, G * (W * N + dW)
+
+
+def _term_count(lz):
+    """Terms of the series that rows at ``-ln z = lz`` sum.
+
+    ``min(_BETA_TERMS, ceil(64 ln 2 / lz))``, 1 at ``z = 0`` and
+    `_BETA_TERMS` for NaN: an int for a float, else a ``uint8`` array.
+    """
+    if isinstance(lz, float):
+        if not lz > 0.0:
+            return _BETA_TERMS
+        return min(_BETA_TERMS, max(1, math.ceil(_LN2_64 / lz)))
+    K = np.ceil(_LN2_64 / lz)
+    np.maximum(K, 1.0, out=K)
+    return np.fmin(K, _BETA_TERMS, out=K).astype(np.uint8)
+
+
+def _series_row(z, p, K, start, state):
+    """One row's series `state` carried from term ``start`` up to ``K``.
+
+    ``state`` is a list of Python floats: the sums ``[T, T_p]``, or ``[T,
+    T_p, z T_z, z T_pz, T_pp]``, then the running term ``s``, its
+    log-derivative ``D`` and ``D'``.  Returns the state after term ``K -
+    1``.  The steps are those of `_series_rows`, in the same order.
+    """
+    second = len(state) == 8
+    T, Tp, *rest = state
+    Tk, Tpz, Tpp, s, D, D1 = rest if second else [0.0] * 3 + rest
+    tp, p1 = 2.0 * p, p + 1.0
+    for j in range(start, K):
+        u, v = tp + j, p1 + j
+        s = s * u / v * z
+        T += s
+        uv = u * v
+        D += (j + 2.0) / uv
+        Tp += s * D
+        if second:
+            # d/dp of (j+2)/(u v), with u' = 2 and v' = 1
+            D1 -= (j + 2.0) * (2.0 * v + u) / (uv * uv)
+            ks = (j + 1.0) * s
+            Tk += ks
+            Tpz += ks * D
+            Tpp += s * (D * D + D1)
+    return [T, Tp, Tk, Tpz, Tpp, s, D, D1] if second else [T, Tp, s, D, D1]
+
+
+def _series_rows(z, p, lz, second):
+    """The sums of `_series_row` on arrays, a ``(2, ...)`` or ``(5, ...)`` array.
+
+    The rows are sorted once by `_term_count`, most first, so that term
+    ``j`` runs on the prefix of rows that sum more than ``j`` terms, in
+    buffers allocated once.  Once at most `_TAIL_ROWS` rows remain, each
+    is finished by `_series_row`.  The sums are scattered back to the input
+    order.
+    """
+    shape = np.broadcast_shapes(z.shape, np.shape(p), np.shape(lz))
+    z, p, lz = (np.broadcast_to(x, shape).ravel() for x in (z, p, lz))
+    K = _term_count(lz)
+    order = np.argsort(_BETA_TERMS - K, kind="stable")  # radix sort on a byte
+    # live[j]: how many rows sum term j
+    live = (z.size - np.cumsum(np.bincount(K, minlength=_BETA_TERMS + 1)))[:-1]
+    z, p, K = z[order], p[order], K[order]
+    tp, p1 = 2.0 * p, p + 1.0
+    # the state of `_series_row`, one row per quantity
+    ns = 5 if second else 2
+    state = np.zeros((ns + 3, z.size))
+    state[ns] = 1.0
+    u, v, uv, w = np.empty((4, z.size))
+    x = np.empty(z.size) if second else None
+    for j, n in enumerate(live.tolist()):
+        if n <= _TAIL_ROWS:
+            rows = zip(z[:n].tolist(), p[:n].tolist(), K[:n].tolist(),
+                       state[:, :n].T.tolist())
+            state[:, :n] = np.transpose([_series_row(*r[:3], j, r[3]) for r in rows])
+            break
+        T, Tp, *rest = state[:, :n]
+        Tk, Tpz, Tpp, s, D, D1 = rest if second else [None] * 3 + rest
+        uj, vj, uvj, wj = u[:n], v[:n], uv[:n], w[:n]
+        np.add(tp[:n], j, out=uj)
+        np.add(p1[:n], j, out=vj)
+        s *= uj
+        s /= vj
+        s *= z[:n]
+        T += s
+        np.multiply(uj, vj, out=uvj)
+        D += np.divide(j + 2.0, uvj, out=wj)
+        Tp += np.multiply(s, D, out=wj)
+        if second:
+            xj = x[:n]
+            np.multiply(2.0, vj, out=xj)
+            xj += uj
+            xj *= j + 2.0
+            uvj *= uvj
+            D1 -= np.divide(xj, uvj, out=xj)
+            np.multiply(j + 1.0, s, out=xj)
+            Tk += xj
+            Tpz += np.multiply(xj, D, out=xj)
+            np.multiply(D, D, out=wj)
+            wj += D1
+            Tpp += np.multiply(s, wj, out=wj)
+    sums = np.empty((ns, z.size))
+    sums[:, order] = state[:ns]
+    return sums.reshape((ns,) + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +666,12 @@ class _CurveEngine:
         minus the log of the larger: no power ``(.)**(m/2)``, which
         overflows at ``m = 512``.  For the smaller, DLMF 8.17.8 gives ``I =
         G (1 + T)`` with ``G = (z (1 - z))**p / (p B(p, p))`` and the series
-        ``T`` of `_sweep_tail`; above ``z = 1/2``, ``I = 1 - I_{1-z}``.  The
-        schedule sets ``a = A/(4 h area_factor(m))``, so ``p B(p, p) = 2
-        area_factor(m) = A/(2 a h)``, and differentiating ``log A`` gives
+        ``T`` of `_sweep_tail`, which each row sums only as far as its own
+        ``z`` needs (`_term_count`: one term at ``z = 1e-20``, all
+        `_BETA_TERMS` near ``z = 1/2``); above ``z = 1/2``, ``I = 1 -
+        I_{1-z}``.  The schedule sets ``a = A/(4 h area_factor(m))``, so
+        ``p B(p, p) = 2 area_factor(m) = A/(2 a h)``, and differentiating
+        ``log A`` gives
         ``A m_A d(log area_factor)/dm = 1 - kappa - eta`` with ``kappa = A
         a_A/a`` and ``eta = A h_A/h``.  The normaliser's p-derivative then
         cancels against ``I``, as the ``log tan(alpha)`` terms of ``z_A``
@@ -586,7 +691,8 @@ class _CurveEngine:
         ``kappa``, which carry no ``O(kappa)`` cancellation.
 
         Up to `_FLOAT_POINTS` rows take `_sweep_tail` in Python floats, by
-        the same steps as an array, so a value does not depend on its batch.
+        the same steps as an array, and a row's term count depends on that
+        row alone, so a value does not depend on its batch.
         """
         h, a, m, hp, ap, mp = sched[:6]
         p = 1.0 / m

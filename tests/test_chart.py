@@ -122,6 +122,49 @@ def test_symplectic_defect_small_inside(rng):
     assert isinstance(chart_symplectic_check(coords[0]), float)
 
 
+def _symplectic_check_einsum(coords):
+    """The pullback defect as a three-operand einsum over Omega_std."""
+    pts = np.atleast_2d(coords)
+    npts, dim = pts.shape
+
+    def to_real(c):
+        z = chart_j(c)
+        out = np.empty(c.shape)
+        out[:, 0::2], out[:, 1::2] = z.real, z.imag
+        return out
+
+    J = np.empty((npts, dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = 1e-5
+        J[:, :, j] = (to_real(pts + e) - to_real(pts - e)) / (2.0 * 1e-5)
+    omega_xy = np.zeros((dim, dim))
+    omega_pq = np.zeros((dim, dim))
+    for i in range(dim // 2):
+        omega_xy[2 * i, 2 * i + 1], omega_xy[2 * i + 1, 2 * i] = 1.0, -1.0
+        omega_pq[2 * i, 2 * i + 1], omega_pq[2 * i + 1, 2 * i] = -1.0, 1.0
+    defect = np.einsum("kia,ij,kjb->kab", J, omega_xy, J) - omega_pq
+    return np.max(np.abs(defect), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symplectic_check_matches_the_einsum(n, rng):
+    # the pullback from the x and y rows of J has the einsum's bits, on
+    # points across the domain, near its walls and one at a time
+    npts = 300
+    P = rng.dirichlet(np.ones(n + 1), npts)[:, :n] * (1.0 - 4e-5) + 1.1e-5
+    Q = rng.uniform(2e-5, np.pi - 2e-5, (npts, n))
+    Q[:5] = np.where(rng.random((5, n)) < 0.5, 2e-5, np.pi - 2e-5)
+    coords = np.empty((npts, 2 * n))
+    coords[:, 0::2], coords[:, 1::2] = Q, P
+    ref = _symplectic_check_einsum(coords)
+    assert np.array_equal(chart_symplectic_check(coords), ref)
+    assert np.array_equal(chart_symplectic_check(coords.reshape(3, 100, 2 * n)),
+                          ref.reshape(3, 100))
+    for k in (0, 1, npts - 1):
+        assert chart_symplectic_check(coords[k]) == ref[k]
+
+
 def test_symplectic_check_guards_stencil():
     # the finite-difference stencil must not poke out of the chart domain
     with pytest.raises(ValueError):

@@ -529,6 +529,122 @@ def test_clenshaw_few_points_match_the_batch():
     assert all(np.array_equal(x, y[:6].reshape(2, 3)) for x, y in zip(grid, full))
 
 
+def _sweep_tail_56(ez, p, G, lam, E, X, Y, c, *second):
+    """`curves._sweep_tail` as it was with a fixed 56 terms for every row."""
+    z = ez / (1.0 + ez)
+    tp, p1 = 2.0 * p, p + 1.0
+    s, T, D, Tp = 1.0 + 0.0 * z, 0.0 * z, 0.0 * z, 0.0 * z
+    if second:
+        D1, Tk, Tpz, Tpp = 0.0 * z, 0.0 * z, 0.0 * z, 0.0 * z
+    for j in range(56):
+        u, v = tp + j, p1 + j
+        s *= u
+        s /= v
+        s *= z
+        T += s
+        uv = u * v
+        D += (j + 2.0) / uv
+        Tp += s * D
+        if second:
+            D1 -= (j + 2.0) * (2.0 * v + u) / (uv * uv)
+            ks = (j + 1.0) * s
+            Tk += ks
+            Tpz += ks * D
+            Tpp += s * (D * D + D1)
+    W = X * (2.0 + T) + (Y + 2.0 * c * lam) * T + c * (2.0 * E * (1.0 + T) - Tp)
+    if not second:
+        return (G * W,)
+    X2, Y2, c2, m = second
+    dlam = m * (c * lam + 0.5 * (Y - X))
+    dE = -2.0 * z * dlam
+    dz = -2.0 * (1.0 - z) * dlam
+    dT = dz * Tk - c * Tp
+    dTp = dz * Tpz - c * Tpp
+    N = 2.0 * ((1.0 - z) * X + z * Y + c * (E + 2.0 * z * lam))
+    dW = (X2 * (2.0 + T) + (Y2 + 2.0 * (c2 * lam + c * dlam)) * T
+          + 2.0 * (c2 * E + c * dE) * (1.0 + T) - c2 * Tp
+          + (X + Y + 2.0 * c * (lam + E)) * dT - c * dTp)
+    return G * W, G * (W * N + dW)
+
+
+def _tail_args(rng):
+    """`_sweep_tail` arguments at z = 0, 1e-300, just either side of every
+    term-count boundary ``-ln z = 64 ln 2 / k`` and z = 1/2 exactly, each
+    at p = 1/2, p = 1/512 and a random p between."""
+    lz = 64.0 * math.log(2.0) / np.arange(2.0, 57.0)
+    z = np.concatenate([[0.0, 1e-300], np.exp(-lz * (1.0 + 1e-12)),
+                        np.exp(-lz * (1.0 - 1e-12)), [0.5]]).repeat(3)
+    p = np.tile([0.5, 1.0 / 512.0, 0.0], z.size // 3)
+    p[2::3] = 1.0 / rng.uniform(2.0, 512.0, z.size // 3)
+    # z = ez/(1 + ez), ez = exp(-2 lam) and E = log1p(ez); lam is large
+    # and finite where ez underflows
+    ez = z / (1.0 - z)
+    lam = -0.5 * np.log(ez, out=np.full(z.size, -800.0), where=ez > 0.0)
+    E = np.log1p(ez)
+    G, X, Y, c, X2, Y2, c2 = rng.uniform(0.1, 2.0, (7, z.size))
+    return [ez, p, G, lam, E, X, Y, c], [X2, Y2, c2, 1.0 / p]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_sweep_tail_matches_the_fixed_series(order):
+    # each row sums only the terms its z needs, yet every output has the
+    # bits of all 56 terms: as one array, shuffled, in blocks on both sides
+    # of `_TAIL_ROWS`, and row by row in Python floats
+    rng = np.random.default_rng(11 + order)
+    args, second = _tail_args(rng)
+    if order:
+        args += second
+    z = args[0] / (1.0 + args[0])
+    assert z.min() == 0.0 and z.max() == 0.5 and np.min(z[z > 0.0]) < 1e-299
+    ref = _sweep_tail_56(*args)
+    assert np.all(np.isfinite(ref))
+    assert all(np.array_equal(x, y) for x, y in zip(curves._sweep_tail(*args), ref))
+    perm = rng.permutation(z.size)
+    out = curves._sweep_tail(*(x[perm] for x in args))
+    assert all(np.array_equal(x, y[perm]) for x, y in zip(out, ref))
+    assert curves._TAIL_ROWS == 24
+    for size in (9, 24, 25, 40):
+        parts = [curves._sweep_tail(*(x[i:i + size] for x in args))
+                 for i in range(0, z.size, size)]
+        for k, y in enumerate(ref):
+            assert np.array_equal(np.concatenate([part[k] for part in parts]), y)
+    for i in range(z.size):
+        row = curves._sweep_tail(*(float(x[i]) for x in args))
+        assert all(x == y[i] for x, y in zip(row, ref))
+
+
+@pytest.mark.parametrize("n, r, bound", [(2, 0.8, 12.0), (6, 0.534, 5.0)])
+def test_series_terms_per_row(n, r, bound, monkeypatch):
+    # the Jacobian of uniform disc points (its angle solve and tau_A) sums
+    # 9.7 terms a row at n=2 and 2.6 at n=6 on average, where every row
+    # summed 56.  With `_TAIL_ROWS` above the batch, every row is summed by
+    # `_series_row` from its first term, so its calls count the terms; the
+    # outputs keep their bits
+    params = make_params(n, r)
+    rng = np.random.default_rng(4)
+    rad = r * np.sqrt(rng.random(2000)) * (1.0 - 1e-9)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 2000)
+    q, p = rad * np.cos(theta), rad * np.sin(theta)
+    ref = discmap.sigma_jacobian(q, p, params)
+    terms = []
+    series_row = curves._series_row
+
+    def counting(z, p, K, start, state):
+        terms.append(K - start)
+        return series_row(z, p, K, start, state)
+
+    monkeypatch.setattr(curves, "_series_row", counting)
+    monkeypatch.setattr(curves, "_TAIL_ROWS", 10**9)
+    out = discmap.sigma_jacobian(q, p, params)
+    assert all(np.array_equal(x, y) for x, y in zip(out, ref))
+    assert len(terms) > 2000 and np.mean(terms) <= bound
+    # a row at z = 1/2 sums all 56
+    terms.clear()
+    curves._sweep_tail(1.0, 0.5, 1.0, 0.0, math.log(2.0), 1.0, 1.0, 1.0)
+    curves._sweep_tail(np.ones(30), 0.5, 1.0, 0.0, math.log(2.0), 1.0, 1.0, 1.0)
+    assert terms == [56] * 31
+
+
 @pytest.mark.parametrize("order, bound_mib", [(0, 4.5), (1, 6.5)])
 def test_sweep_build_temporaries(order, bound_mib):
     # the sweep fraction's temporaries beyond its outputs: 16384 rows took
