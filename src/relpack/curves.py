@@ -515,11 +515,10 @@ class _CurveEngine:
         carry more derivatives than ``order`` uses, so one schedule serves
         every jet of a row.  ``alpha`` is measured in the first quadrant of
         centered coordinates; the full curve follows by reflecting in both
-        axes.  Returns ``V`` at ``order=0``, ``(V, V_A)`` at ``order=1``
-        (``V_A > 0`` iff the curves are nested) and ``(V, V_A, V_AA)`` at
-        ``order=2``; ``angle=True`` appends ``V_alpha``.  With ``x =
-        log(a**2/cos**2)`` and ``y = log(h**2/sin**2)``, ``V = (exp(-m*x/2)
-        + exp(-m*y/2))**(-2/m)``.  Both logs come from one tangent, as
+        axes.  Returns ``V`` at ``order=0`` and ``(V, V_A)`` at ``order=1``
+        (``V_A > 0`` iff the curves are nested); ``angle=True`` appends
+        ``V_alpha``.  With ``x = log(a**2/cos**2)`` and ``y =
+        log(h**2/sin**2)``, ``V = (exp(-m*x/2) + exp(-m*y/2))**(-2/m)``.  Both logs come from one tangent, as
         ``log1p(t**2)`` and ``log1p(t**-2)``, each free of cancellation on
         its half of the quadrant, and the ratio ``e = exp(-m*|x - y|/2)`` of
         the smaller term to the larger gives the log-sum and both weights.
@@ -561,17 +560,6 @@ class _CurveEngine:
             w1 = np.maximum(u, 0.0)
             w1 *= mh
             np.exp(w1, out=w1)
-        if order >= 1:
-            hp, ap, mp = sched[3:6]
-            g1, g2 = ap / a, hp / h
-            rmp = mp / m
-        if order == 2:
-            # D = w1 w2 (l1' - l2')**2, where l_i = -m x_i / 2 and
-            # l1' - l2' = m (g2 - g1) - (m'/2) u
-            D = np.multiply(u, -0.5 * mp)
-            D += m * (g2 - g1)
-            D *= D
-            D *= wmin
         q = np.subtract(1.0, wmin, out=wmin)
         w2 = np.minimum(u, 0.0, out=u)
         w2 *= 0.5 * m
@@ -585,64 +573,18 @@ class _CurveEngine:
             w1 -= np.divide(w2, t, out=np.zeros_like(w2), where=t > 0.0)
             w1 *= V
             w1 *= 2.0
-        if order >= 1:
-            if order == 2:
-                D *= q
+        if order:
+            hp, ap, mp = sched[3:6]
+            g1, g2 = ap / a, hp / h
             # N_A = (log V)' = (m'/m) H + sum_i w_i x_i', where x' = 2 a'/a
             # and y' = 2 h'/h; V_A = V N_A
-            N_A = np.multiply(H, rmp, out=q)
+            N_A = np.multiply(H, mp / m, out=q)
             N_A += 2.0 * g1
             N_A += w2 * (2.0 * (g2 - g1))
-            if order == 2:
-                hpp, app, mpp = sched[6:9]
-                G1, G2 = app / a - g1 * g1, hpp / h - g2 * g2
-                # N_AA = N_A' = (m''/m - 2 (m'/m)**2) H - (2/m) D
-                #        + sum_i w_i x_i''; V_AA = V (N_A**2 + N_AA)
-                V_AA = np.multiply(H, mpp / m - 2.0 * rmp * rmp, out=H)
-                D *= -2.0 / m
-                V_AA += D
-                V_AA += 2.0 * G1
-                V_AA += np.multiply(w2, 2.0 * (G2 - G1), out=D)
-                V_AA += np.multiply(N_A, N_A, out=D)
-                V_AA *= V
-            V_A = np.multiply(N_A, V, out=N_A)
-            jet += (V_A, V_AA) if order == 2 else (V_A,)
+            jet += (np.multiply(N_A, V, out=N_A),)
         if angle:
             jet += (w1,)
         return jet if len(jet) > 1 else V
-
-    # -- vertex clustering for the area oracle --------------------------------
-
-    def warp_params(self, sched):
-        """Parameters of the sinh map packing vertices near the curve corner.
-
-        ``sched`` is the rows' `schedule` jet; only ``(h, a, m)`` are read.
-        """
-        h, a, m = sched[:3]
-        alpha_c = np.arctan2(h, a)
-        w = np.clip(3.0 * np.sin(alpha_c) * np.cos(alpha_c) / m, 1e-10, 0.5)
-        beta = 0.5 * (
-            np.arcsinh((np.pi / 2.0 - alpha_c) / w) + np.arcsinh(alpha_c / w)
-        )
-        s_c = -1.0 + np.arcsinh(alpha_c / w) / beta
-        return alpha_c, w, beta, s_c
-
-    @staticmethod
-    def warp(s, wp):
-        """Warped angle ``alpha(s)``, clipped to the quadrant, and ``alpha'(s)``.
-
-        Both share ``beta * (s - s_c)``, and ``alpha'`` is formed in its buffer.
-        """
-        alpha_c, w, beta, s_c = wp
-        z = np.subtract(s, s_c)
-        z *= beta
-        alpha = np.sinh(z)
-        alpha *= w
-        alpha += alpha_c
-        np.clip(alpha, 0.0, np.pi / 2.0, out=alpha)
-        np.cosh(z, out=z)
-        z *= w * beta
-        return alpha, z
 
     # -- area sweep ----------------------------------------------------------
 

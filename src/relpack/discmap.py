@@ -502,13 +502,24 @@ def sigma_jacobian(q, p, params: PackingParams):
 def _quarter_arc(eng, A, nvert):
     """First-quadrant arc of the level curve at ``A``, for ``nvert`` vertices.
 
-    ``nvert`` must be a multiple of 4; the ``nvert/4 + 1`` arc vertices
-    follow the engine's sinh warp, which concentrates them where the curve
-    bends fastest.  The warped abscissae are dyadic, so every second vertex
-    is, bit for bit, the arc for ``nvert/2``.
+    ``nvert`` must be a multiple of 4.  The ``nvert/4 + 1`` arc vertices sit
+    at the angles ``alpha(s) = alpha_c + w sinh(beta (s - s_c))`` of an even
+    grid of ``s`` in [-1, 1], which concentrate them around the corner
+    angle ``alpha_c = atan(h/a)``, where the curve bends fastest; ``beta``
+    and ``s_c`` make ``alpha(-1) = 0`` and ``alpha(1) = pi/2``, and the
+    result is clipped to the quadrant.  The abscissae are dyadic, so every
+    second vertex is, bit for bit, the arc for ``nvert/2``.
     """
     sched = eng.schedule(np.asarray([A]))
-    al = eng.warp(np.linspace(-1.0, 1.0, nvert // 4 + 1), eng.warp_params(sched))[0]
+    h, a, m = sched
+    alpha_c = np.arctan2(h, a)
+    w = np.clip(3.0 * np.sin(alpha_c) * np.cos(alpha_c) / m, 1e-10, 0.5)
+    lo = np.arcsinh(alpha_c / w)
+    beta = 0.5 * (np.arcsinh((np.pi / 2.0 - alpha_c) / w) + lo)
+    s_c = lo / beta - 1.0
+    s = np.linspace(-1.0, 1.0, nvert // 4 + 1)
+    al = alpha_c + w * np.sinh(beta * (s - s_c))
+    np.clip(al, 0.0, np.pi / 2.0, out=al)
     R = np.sqrt(eng.radius_jet(sched, al))
     return R * np.cos(al), R * np.sin(al)
 

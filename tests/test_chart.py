@@ -171,6 +171,21 @@ def test_symplectic_check_guards_stencil():
         chart_symplectic_check(np.array([[1.0, 1e-9, 1.0, 0.3]]))
     with pytest.raises(ValueError):
         chart_symplectic_check(np.array([[1e-9, 0.3, 1.0, 0.3]]))
+    with pytest.raises(ValueError, match="clearance"):
+        chart_symplectic_check(np.array([5e-7, 0.3, 1.0, 0.3]))
+    # angles between the 1e-6 clearance and the 1e-5 step keep the contract
+    for q in (2e-6, np.pi - 2e-6):
+        assert chart_symplectic_check(np.array([q, 0.3, 1.0, 0.3])) < 1e-6
+    # odd or empty trailing dimensions, NaN and infinities are rejected
+    for dim in (0, 1, 3):
+        with pytest.raises(ValueError, match="even trailing dimension"):
+            chart_symplectic_check(np.full((2, dim), 0.3))
+    for k in range(4):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.array([[1.0, 0.3, 1.0, 0.3]])
+            x[0, k] = bad
+            with pytest.raises(ValueError):
+                chart_symplectic_check(x)
 
 
 def test_full_embedding_basepoint(p28):

@@ -252,16 +252,11 @@ def test_radius_jet_matches_fd(p28):
     def radius(A, alpha):
         return eng.radius_jet(eng.schedule(A), alpha)
 
-    V, V_A, V_AA, V_al = eng.radius_jet(eng.schedule(A, 2), alpha, 2, angle=True)
+    V, V_A, V_al = eng.radius_jet(eng.schedule(A, 2), alpha, 1, angle=True)
     assert np.allclose(V, radius(A, alpha), rtol=1e-13)
     hA = 1e-6
     fdA = _central(lambda x: radius(x, alpha), A, hA)
     assert np.max(np.abs(fdA - V_A) / np.abs(V_A)) < 1e-5
-    hA = 5e-5  # wider step for the second difference, to beat roundoff
-    fdAA = (
-        radius(A + hA, alpha) - 2.0 * radius(A, alpha) + radius(A - hA, alpha)
-    ) / hA**2
-    assert np.max(np.abs(fdAA - V_AA) / np.maximum(np.abs(V_AA), 1e-2)) < 2e-3
     hal = 1e-6
     fdal = _central(lambda x: radius(A, x), alpha, hal)
     assert np.max(np.abs(fdal - V_al) / np.maximum(np.abs(V_al), 1e-6)) < 1e-4
@@ -280,16 +275,15 @@ def test_jets_share_leading_outputs_bitwise(n, r):
             assert np.array_equal(x, y)
     V0 = eng.radius_jet(sched[0], alpha)
     V1, VA1 = eng.radius_jet(sched[1], alpha, 1)
-    V2, VA2, VAA2 = eng.radius_jet(sched[2], alpha, 2)
+    V2, VA2 = eng.radius_jet(sched[2], alpha, 1)
     assert np.array_equal(V0, V1) and np.array_equal(V0, V2)
     assert np.array_equal(VA1, VA2)
     # the angle derivative appends, and is the same at every order
     V3, Val3 = eng.radius_jet(sched[0], alpha, angle=True)
     V4, VA4, Val4 = eng.radius_jet(sched[1], alpha, 1, angle=True)
-    V5, VA5, VAA5, Val5 = eng.radius_jet(sched[2], alpha, 2, angle=True)
+    V5, VA5, Val5 = eng.radius_jet(sched[2], alpha, 1, angle=True)
     assert all(np.array_equal(V0, x) for x in (V3, V4, V5))
     assert np.array_equal(VA1, VA4) and np.array_equal(VA1, VA5)
-    assert np.array_equal(VAA2, VAA5)
     assert np.array_equal(Val3, Val4) and np.array_equal(Val3, Val5)
     al = alpha[1:]  # the sweep fraction takes alpha > 0
     tau0 = eng.sweep_fraction(A[1:], tuple(x[1:] for x in sched[1]), al)
@@ -313,9 +307,9 @@ def test_radius_matches_long_double(n, r):
     ref = (np.abs(np.cos(al) / a) ** m + np.abs(np.sin(al) / h) ** m) ** (-2.0 / m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        V, V_A, V_AA, V_al = eng.radius_jet(eng.schedule(A, 2), alpha, 2, angle=True)
+        V, V_A, V_al = eng.radius_jet(eng.schedule(A, 2), alpha, 1, angle=True)
     assert np.max(np.abs(V - ref) / ref) <= 1e-14
-    for x in (V_A, V_AA, V_al):
+    for x in (V_A, V_al):
         assert np.all(np.isfinite(x))
     assert np.all(V_A > 0.0)
     # on the axes the angle derivative vanishes by symmetry

@@ -604,11 +604,7 @@ def _ladder_reference(params, A):
     eng = curves._engine(params)
     areas = []
     for nvert in (2048, 4096, 8192):
-        sched = eng.schedule(np.asarray([A]))
-        s = np.linspace(-1.0, 1.0, nvert // 4 + 1)
-        al = eng.warp(s, eng.warp_params(sched))[0]
-        R = np.sqrt(eng.radius_jet(sched, al))
-        xq, yq = R * np.cos(al), R * np.sin(al)
+        xq, yq = discmap._quarter_arc(eng, A, nvert)
         x = np.concatenate([xq[:-1], -xq[::-1][:-1], -xq[:-1], xq[::-1][:-1]])
         y = np.concatenate([yq[:-1], yq[::-1][:-1], -yq[:-1], -yq[::-1][:-1]])
         areas.append(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
