@@ -130,12 +130,12 @@ def _log_area_factor(m, order=0):
     reaches roundoff for ``m >= 1`` (its derivatives for ``m >= 2``); below
     ``m = 1`` the result is NaN.
 
-    Up to `_FLOAT_POINTS` values are evaluated one at a time in Python
+    One to `_FLOAT_POINTS` values are evaluated one at a time in Python
     floats, by the same steps in the same order as an array, so a value
     does not depend on its batch (as in `sweep_fraction`).
     """
     m = np.asarray(m, dtype=float)
-    if m.size > _FLOAT_POINTS:
+    if not 0 < m.size <= _FLOAT_POINTS:
         x = np.divide(1.0, m, out=np.full(m.shape, np.nan), where=m >= 1.0)
         return _log_area_factor_jet(x, order)
     jets = [
@@ -448,12 +448,8 @@ class _CurveEngine:
 
     def _validate(self):
         """Check monotonicity and band containment on a dense area grid."""
-        A = np.concatenate(
-            [
-                np.geomspace(1e-8 * self.area_max, self.area_max, 400),
-                np.linspace(0.9 * self.area_max, self.area_max, 100),
-            ]
-        )
+        A = np.concatenate([np.geomspace(1e-8 * self.area_max, self.area_max, 400),
+                            np.linspace(0.9 * self.area_max, self.area_max, 100)])
         sched = h, a, m, hp, ap, mp = self.schedule(A, 1)
         cap = A / (2.0 * np.pi) + self.eps / 2.0
         problems = []
@@ -709,11 +705,8 @@ def shape_schedule(A, params: PackingParams):
     ValueError
         If some ``A`` lies outside ``(0, pi*r**2)``.
     """
-    eng = _engine(params)
     A_arr = np.asarray(A, dtype=float)
     _check_areas(A_arr, params.area_max)
-    h, a, m = eng.schedule(A_arr)
-    if np.isscalar(A) or np.ndim(A) == 0:
-        return float(h), float(a), float(m)
-    return h, a, m
+    sched = _engine(params).schedule(A_arr)
+    return tuple(map(float, sched)) if A_arr.ndim == 0 else sched
 

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _BALL_EDGE_TOL = 1e-14
+_ARC_CHUNK = 8  # areas per `_quarter_arc` call of `enclosed_area`
 # Points per block: every batch is mapped in fixed slices of this many
 # points, so peak memory does not grow with the batch (nor with the number
 # of blocks that verification threads have in flight at once).
@@ -89,9 +90,7 @@ def _blocked(fn, arrays):
 
 
 def _restore(arr, shape):
-    if shape == ():
-        return float(arr[0])
-    return arr.reshape(shape)
+    return float(arr[0]) if shape == () else arr.reshape(shape)
 
 
 def _quadrant(x, y):
@@ -500,18 +499,18 @@ def sigma_jacobian(q, p, params: PackingParams):
 
 
 def _quarter_arc(eng, A, nvert):
-    """First-quadrant arc of the level curve at ``A``, for ``nvert`` vertices.
+    """First-quadrant arcs ``(x, y)`` of the level curves at the 1-d ``A``.
 
-    ``nvert`` must be a multiple of 4.  The ``nvert/4 + 1`` arc vertices sit
-    at the angles ``alpha(s) = alpha_c + w sinh(beta (s - s_c))`` of an even
-    grid of ``s`` in [-1, 1], which concentrate them around the corner
-    angle ``alpha_c = atan(h/a)``, where the curve bends fastest; ``beta``
-    and ``s_c`` make ``alpha(-1) = 0`` and ``alpha(1) = pi/2``, and the
-    result is clipped to the quadrant.  The abscissae are dyadic, so every
-    second vertex is, bit for bit, the arc for ``nvert/2``.
+    Row ``k`` holds the ``nvert/4 + 1`` vertices (``nvert`` a multiple of 4)
+    of the curve at ``A[k]``, at the angles ``alpha(s) = alpha_c + w
+    sinh(beta (s - s_c))`` of an even grid of ``s`` in [-1, 1], which
+    concentrate them around the corner angle ``alpha_c = atan(h/a)``, where
+    the curve bends fastest; ``beta`` and ``s_c`` make ``alpha(-1) = 0`` and
+    ``alpha(1) = pi/2``, and the result is clipped to the quadrant.  The
+    abscissae are dyadic, so every second vertex is, bit for bit, the arc
+    for ``nvert/2``.
     """
-    sched = eng.schedule(np.asarray([A]))
-    h, a, m = sched
+    h, a, m = sched = tuple(v[:, None] for v in eng.schedule(A))
     alpha_c = np.arctan2(h, a)
     w = np.clip(3.0 * np.sin(alpha_c) * np.cos(alpha_c) / m, 1e-10, 0.5)
     lo = np.arcsinh(alpha_c / w)
@@ -524,49 +523,58 @@ def _quarter_arc(eng, A, nvert):
     return R * np.cos(al), R * np.sin(al)
 
 
-def _closed_polyline(xq, yq):
-    """The closed polyline through a `_quarter_arc` and its three mirrors."""
-    x = np.concatenate([xq[:-1], -xq[::-1][:-1], -xq[:-1], xq[::-1][:-1]])
-    y = np.concatenate([yq[:-1], yq[::-1][:-1], -yq[:-1], -yq[::-1][:-1]])
-    return x, y
+def _shoelace(xq, yq):
+    """Shoelace area of the closed polyline through each `_quarter_arc` row
+    ``(x_i, y_i), i = 0 .. L``, and its mirrors, from one quarter's terms.
+
+    With ``t_i = x_i y_(i+1) - x_(i+1) y_i``, its ``4L`` terms are ``t_0 ..
+    t_(L-2)``, ``x_(L-1) y_L + x_L y_(L-1)``, ``t_(L-1) .. t_1``, ``x_1 y_0 +
+    x_0 y_1``, and these ``2L`` again, as negation is exact.  For ``L`` =
+    512, 1024 or 2048 numpy's pairwise sum of the ``4L`` adds the sums of
+    the two halves, so half of it is the sum of the ``2L``, bit for bit.
+    """
+    a, b = xq[:, :-1] * yq[:, 1:], xq[:, 1:] * yq[:, :-1]
+    t, ends = a - b, a[:, [-1, 0]] + b[:, [-1, 0]]
+    return np.hstack([t[:, :-1], ends[:, :1], t[:, :0:-1], ends[:, 1:]]).sum(1)
 
 
-def _shoelace(x, y):
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+def enclosed_area(A, params: PackingParams):
+    """Independently measure the area enclosed by the level curve at each ``A``.
 
-
-def enclosed_area(A, params: PackingParams) -> float:
-    """Independently measure the area enclosed by the level curve at ``A``.
-
-    Polygonal (shoelace) area of a corner-clustered polyline, Richardson
-    extrapolated over a doubling ladder of 2048, 4096 and 8192 vertices.
-    The curve is evaluated once, on the finest ladder's `_quarter_arc`, and
-    the coarser ladders take every fourth and every second of its vertices,
-    which are theirs bit for bit.  This shares no code path with the
-    closed-form sweep fraction inside `sigma`, which is what makes it
-    useful as an oracle: agreement with ``A`` certifies the curve family
-    itself, independent of the map built on top of it.
+    Polygonal (`_shoelace`) area of a corner-clustered polyline, Richardson
+    extrapolated over a doubling ladder of 2048, 4096 and 8192 vertices;
+    ``A`` is a float or an array, and so is the result.  The curves are
+    evaluated `_ARC_CHUNK` at a time, so memory does not grow with their
+    number, each once, on the finest ladder's `_quarter_arc`: the coarser
+    ladders take every fourth and every second vertex, theirs bit for bit.
+    This shares no code path with the closed-form sweep fraction of
+    `sigma`, which makes it an oracle: agreement with ``A`` certifies the
+    curve family itself, independent of the map built on top of it.
 
     Raises
     ------
     QuadratureNonConvergent
         If consecutive Richardson extrapolants disagree by more than
-        ``1e-7 * A``.
+        ``1e-7 * A``; it names the first such area, and its ``areas`` and
+        ``failed`` hold every area's result and whether it failed.
     ValueError
-        If ``A`` is outside ``(0, pi*r**2)``.
+        If some ``A`` lies outside ``(0, pi*r**2)``.
     """
-    A = float(A)
-    _check_areas(A, params.area_max)
-    xq, yq = _quarter_arc(_engine(params), A, 8192)
-    areas = [_shoelace(*_closed_polyline(xq[::k], yq[::k])) for k in (4, 2, 1)]
-    rich1 = (4.0 * areas[1] - areas[0]) / 3.0
-    rich2 = (4.0 * areas[2] - areas[1]) / 3.0
-    if abs(rich2 - rich1) > 1e-7 * A:
+    (A_f,), shape = _flatten(A)
+    _check_areas(A_f, params.area_max)
+    eng, rich = _engine(params), np.empty((2, A_f.size))
+    for lo in range(0, A_f.size, _ARC_CHUNK):
+        xq, yq = _quarter_arc(eng, A_f[lo : lo + _ARC_CHUNK], 8192)
+        s = np.array([_shoelace(xq[:, ::k], yq[:, ::k]) for k in (4, 2, 1)])
+        rich[:, lo : lo + _ARC_CHUNK] = (4.0 * s[1:] - s[:-1]) / 3.0
+    resid = np.abs(rich[1] - rich[0])
+    failed = resid > 1e-7 * A_f
+    if np.any(failed):
+        i = int(np.argmax(failed))
         raise QuadratureNonConvergent(
-            f"polyline area ladder for A={A!r} left residual "
-            f"{abs(rich2 - rich1):.3e}"
-        )
-    return float(rich2)
+            f"polyline area ladder for A={float(A_f[i])!r} left residual "
+            f"{resid[i]:.3e}", rich[1].reshape(shape), failed.reshape(shape))
+    return _restore(rich[1], shape)
 
 
 def phi(coords, params: PackingParams):

@@ -37,6 +37,11 @@ class ScheduleInfeasible(RelpackError, ArithmeticError):
 class QuadratureNonConvergent(RelpackError, ArithmeticError):
     """A quadrature refinement ladder failed to stabilize."""
 
+    def __init__(self, message, areas=None, failed=None):
+        super().__init__(message)
+        # a whole batch's results, and which of them did not stabilize
+        self.areas, self.failed = areas, failed
+
 
 class NotInImage(RelpackError, ValueError):
     """Target rectangle point lies outside the image of the open disc."""

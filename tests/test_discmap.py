@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from relpack import (
     sigma_jacobian,
 )
 from relpack import curves, discmap
+from relpack.verify import CURVE_AREA_COUNT, DEFAULT_TOLERANCES, check_curve_areas
 
 from conftest import ball_points
 
@@ -591,12 +593,35 @@ def test_enclosed_area_flags_bad_quadrature(p28, monkeypatch):
     def noisy_arc(eng, A, nvert):
         # every fourth vertex off the circle: only the finest ladder sees it
         th = np.linspace(0.0, np.pi / 2.0, nvert // 4 + 1)
-        rad = np.sqrt(A / np.pi) * (1.0 + 0.01 * (np.arange(th.size) % 4 == 1))
+        bump = 1.0 + 0.01 * (np.arange(th.size) % 4 == 1)
+        rad = np.sqrt(A[:, None] / np.pi) * bump
         return rad * np.cos(th), rad * np.sin(th)
 
     monkeypatch.setattr(discmap, "_quarter_arc", noisy_arc)
     with pytest.raises(QuadratureNonConvergent):
         enclosed_area(0.5, p28)
+    with pytest.raises(QuadratureNonConvergent):
+        enclosed_area(np.array([0.5, 1.0]), p28)
+
+
+def _noisy_at(noisy_areas):
+    """`discmap._quarter_arc` with the curves at ``noisy_areas`` roughened.
+
+    Every fourth vertex of the 8192-vertex arc moves off the curve, so only
+    the finest ladder sees it and the extrapolants there disagree.
+    """
+    arc = discmap._quarter_arc
+
+    def noisy_arc(eng, A, nvert):
+        x, y = arc(eng, A, nvert)
+        if nvert == 8192:
+            rows = np.isin(A, noisy_areas)[:, None]
+            bump = np.where(rows, 1.01, 1.0)
+            x[:, 1::4] *= bump
+            y[:, 1::4] *= bump
+        return x, y
+
+    return noisy_arc
 
 
 def _ladder_reference(params, A):
@@ -604,25 +629,66 @@ def _ladder_reference(params, A):
     eng = curves._engine(params)
     areas = []
     for nvert in (2048, 4096, 8192):
-        xq, yq = discmap._quarter_arc(eng, A, nvert)
+        xq, yq = (v[0] for v in discmap._quarter_arc(eng, np.array([A]), nvert))
         x = np.concatenate([xq[:-1], -xq[::-1][:-1], -xq[:-1], xq[::-1][:-1]])
         y = np.concatenate([yq[:-1], yq[::-1][:-1], -yq[:-1], -yq[::-1][:-1]])
         areas.append(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
     return (4.0 * areas[1] - areas[0]) / 3.0, (4.0 * areas[2] - areas[1]) / 3.0
 
 
-@pytest.mark.parametrize("n, r", [(2, 0.8), (6, 0.534)])
-def test_enclosed_area_ladder_is_bitwise_three_polylines(n, r):
-    # one curve, strided for the coarser ladders, gives bit for bit what
-    # three curves built at 2048, 4096 and 8192 vertices give
+@pytest.mark.parametrize("n, r", [(2, 0.8), (2, 0.81), (3, 0.7), (4, 0.63),
+                                  (6, 0.534), (1, 0.9), (8, 0.47)])
+def test_enclosed_area_ladder_is_bitwise_three_polylines(n, r, monkeypatch):
+    # one curve a row, strided for the coarser ladders and summed from one
+    # quarter's terms, gives bit for bit what three closed polylines built
+    # at 2048, 4096 and 8192 vertices give, in batches of any size
     params = make_params(n, r)
-    for A in np.geomspace(1e-6, 1.0 - 1e-9, 24) * params.area_max:
-        rich1, rich2 = _ladder_reference(params, A)
-        if abs(rich2 - rich1) > 1e-7 * A:
-            with pytest.raises(QuadratureNonConvergent):
-                enclosed_area(A, params)
+    A = np.geomspace(1e-8, 1.0 - 1e-12, 200) * params.area_max
+    monkeypatch.setattr(discmap, "_quarter_arc", _noisy_at(A[5::13]))
+    ref = np.array([_ladder_reference(params, v) for v in A])
+    failed = np.abs(ref[:, 1] - ref[:, 0]) > 1e-7 * A
+    assert np.array_equal(np.flatnonzero(failed), np.arange(5, 200, 13))
+    for lo, hi in ((0, 1), (1, 8), (8, 16), (16, 25), (25, 57), (0, 200),
+                   (1, 5)):
+        if failed[lo:hi].any():
+            with pytest.raises(QuadratureNonConvergent) as info:
+                enclosed_area(A[lo:hi], params)
+            first = lo + int(np.argmax(failed[lo:hi]))
+            assert f"A={float(A[first])!r}" in str(info.value)
+            got, bad = info.value.areas, info.value.failed
+            assert np.array_equal(bad, failed[lo:hi])
         else:
-            assert enclosed_area(A, params) == float(rich2)
+            got = enclosed_area(A[lo:hi], params)
+        assert got.shape == (hi - lo,)
+        assert np.array_equal(got, ref[lo:hi, 1])
+    assert enclosed_area(float(A[0]), params) == float(ref[0, 1])
+
+
+def test_enclosed_area_names_the_first_noisy_area(p28, monkeypatch):
+    a = p28.area_max
+    grid = np.geomspace(1e-4 * a, (1.0 - 1e-9) * a, CURVE_AREA_COUNT)
+    monkeypatch.setattr(discmap, "_quarter_arc", _noisy_at(grid[[20, 7, 11]]))
+    with pytest.raises(QuadratureNonConvergent) as info:
+        enclosed_area(grid, p28)
+    assert f"A={float(grid[7])!r} " in str(info.value)
+    assert np.array_equal(np.flatnonzero(info.value.failed), [7, 11, 20])
+    assert np.all(np.isfinite(info.value.areas))
+    # the check records the sentinel there, as if each area ran alone
+    tol = DEFAULT_TOLERANCES["curve_areas"]
+    rec = check_curve_areas(SimpleNamespace(params=p28), tol)
+    assert not rec.passed and rec.samples_used == CURVE_AREA_COUNT
+    assert rec.worst_margin == tol - 1.0
+    assert rec.worst_point == (float(grid[7]),)
+
+
+def test_enclosed_area_memory_is_bounded(p28):
+    # the arcs run in fixed chunks of areas, so the temporaries do not grow
+    # with their number
+    a = p28.area_max
+    enclosed_area(0.5, p28)  # the engine, built outside the count
+    for count in (32, 2000):
+        A = np.geomspace(1e-4 * a, (1.0 - 1e-9) * a, count)
+        assert _peak_mib(enclosed_area, A, p28) <= 1.5
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,23 @@ def test_curve_area_record(p37):
     assert rec.passed and rec.samples_used == CURVE_AREA_COUNT == 32
 
 
+def test_curve_area_check_calls_the_oracle_by_name(p37, monkeypatch):
+    # the check looks `discmap.enclosed_area` up when it runs, so a wrapper
+    # set there (a timing patch, say) sees its calls
+    calls = []
+    oracle = discmap.enclosed_area
+
+    def counting(A, params):
+        calls.append(np.size(A))
+        return oracle(A, params)
+
+    monkeypatch.setattr(discmap, "enclosed_area", counting)
+    rec = check_curve_areas(SimpleNamespace(params=p37),
+                            DEFAULT_TOLERANCES["curve_areas"])
+    assert rec.passed and len(calls) >= 1
+    assert sum(calls) == CURVE_AREA_COUNT
+
+
 def _evaluation_of(pts, params):
     """What the containment and band checks read of an evaluation of ``pts``."""
     return SimpleNamespace(params=params, pool=pts, images=phi(pts, params))
